@@ -7,10 +7,11 @@ rows under the tests so far) and refines it in three stages:
 
 1. a 1-detection test set seeds the partition;
 2. a random phase keeps any random vector that splits some class;
-3. the exact miter-based :class:`~repro.atpg.distinguish.Distinguisher`
-   attacks the remaining pairs.  Pairs it proves equivalent are settled
-   permanently — functional indistinguishability is transitive, so only
-   adjacent pairs of a class ever need to be tried.
+3. the SAT engine (:meth:`~repro.atpg.satatpg.SatAtpg.distinguish`)
+   decides the remaining pairs exactly on cone-shared miters.  Pairs it
+   proves equivalent are settled permanently — functional
+   indistinguishability is transitive, so only adjacent pairs of a class
+   ever need to be tried.
 
 Every added test is simulated once against all target faults and the
 partition is split in place, so no full dictionary rebuild happens in the
@@ -29,8 +30,8 @@ from ..obs import get_default_registry, trace_span
 from ..sim.patterns import TestSet
 from ..sim.responses import ResponseTable
 from .detect import GenerationReport, generate_detection_tests
-from .distinguish import Distinguisher
 from .podem import Status
+from .satatpg import SatAtpg
 
 
 @dataclass
@@ -40,7 +41,7 @@ class DiagnosticReport:
     generation: GenerationReport
     #: Pairs proven indistinguishable by any input vector.
     equivalent_pairs: List[Tuple[Fault, Fault]] = field(default_factory=list)
-    #: Pairs left unresolved because the miter search hit its limit.
+    #: Pairs left unresolved because the SAT search hit its conflict budget.
     aborted_pairs: List[Tuple[Fault, Fault]] = field(default_factory=list)
     #: Tests contributed by the random splitting phase.
     random_tests: int = 0
@@ -91,11 +92,9 @@ def generate_diagnostic_tests(
     faults: Sequence[Fault],
     seed: int = 0,
     backtrack_limit: int = 512,
-    miter_backtrack_limit: int = 128,
     random_batch: int = 64,
     max_stale_batches: int = 4,
     skip_undetected: bool = True,
-    engine: str = "sat",
 ) -> "tuple[TestSet, DiagnosticReport]":
     """Generate a test set distinguishing every distinguishable fault pair.
 
@@ -104,12 +103,9 @@ def generate_diagnostic_tests(
     undetectable fault produces the fault-free response under every test
     and cannot be meaningfully diagnosed.
 
-    ``engine`` selects the exact pair decision procedure: ``"sat"``
-    (default) decides each miter with the CDCL solver — equivalence proofs
-    included — while ``"podem"`` uses the structural search bounded by
-    ``miter_backtrack_limit``, under which abandoned pairs are reported as
-    indistinguished (the best-effort contract of classical diagnostic
-    ATPG).
+    Each remaining pair is decided by the CDCL solver — equivalence proofs
+    included; a pair whose search runs out of conflicts is reported in
+    ``aborted_pairs`` and left indistinguished.
     """
     rng = random.Random(seed ^ 0xD1A6)
     tests, generation = generate_detection_tests(
@@ -154,16 +150,7 @@ def generate_diagnostic_tests(
             stale = 0 if progressed else stale + 1
 
     # --- exact miter phase -----------------------------------------------
-    if engine == "sat":
-        from .satatpg import SatAtpg
-
-        distinguisher = SatAtpg(netlist, rng=rng)
-    elif engine == "podem":
-        distinguisher = Distinguisher(
-            netlist, backtrack_limit=miter_backtrack_limit, rng=rng
-        )
-    else:
-        raise ValueError(f"unknown engine {engine!r} (expected 'sat' or 'podem')")
+    distinguisher = SatAtpg(netlist, rng=rng)
     settled: Set[FrozenSet[int]] = set()
     work = [members for members in partition if len(members) > 1]
     singletons = [members for members in partition if len(members) == 1]

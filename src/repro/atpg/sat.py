@@ -1,18 +1,30 @@
 """A small CDCL SAT solver.
 
 Conflict-driven clause learning with two-watched-literal propagation,
-first-UIP learning, activity-based (VSIDS-style) decisions and geometric
-restarts — the standard architecture, kept compact.  Used by the
+first-UIP learning and activity-based (VSIDS-style) decisions, kept
+compact.  It never restarts and never deletes a learnt clause, so one
+:meth:`Solver.solve` call is a single deterministic search.  Used by the
 SAT-based ATPG engine as an independent decision procedure for fault
 detection and fault-pair equivalence, cross-checking PODEM.
 
 Variables are positive integers; literals are non-zero integers with sign
-for polarity (DIMACS convention).
+for polarity (DIMACS convention).  Inside, literal ``v`` has code ``2v``
+and literal ``-v`` code ``2v + 1``, so every per-literal table is a flat
+list indexed by code and negation is ``code ^ 1``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+import heapq
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+#: Per-literal values: a literal is true, false or unassigned.
+_TRUE, _FALSE, _UNSET = 1, -1, 0
+
+
+def _code(literal: int) -> int:
+    """The code of DIMACS literal ``literal``."""
+    return 2 * literal if literal > 0 else 1 - 2 * literal
 
 
 class Solver:
@@ -20,16 +32,24 @@ class Solver:
 
     def __init__(self) -> None:
         self.num_vars = 0
+        #: Clauses as lists of literal codes; learnt clauses are appended.
         self._clauses: List[List[int]] = []
-        # watch lists: literal -> clause indices watching it
-        self._watches: Dict[int, List[int]] = {}
-        self._assign: Dict[int, bool] = {}
-        self._level: Dict[int, int] = {}
-        self._reason: Dict[int, Optional[int]] = {}
+        # Per literal code: watching clause indices, and current value.
+        self._watches: List[List[int]] = [[], []]
+        self._value: List[int] = [_UNSET, _UNSET]
+        # Per variable: decision level, reason clause index, activity.
+        self._level: List[int] = [0]
+        self._reason: List[Optional[int]] = [None]
+        self._activity: List[float] = [0.0]
+        self._activity_inc = 1.0
+        # Decision order: a heap of (-activity, variable).  An entry is
+        # current while its activity matches; ``_queued[v]`` is set while
+        # ``v`` has a current entry, so every unassigned variable has one.
+        self._heap: List[Tuple[float, int]] = []
+        self._queued: List[bool] = [False]
         self._trail: List[int] = []
         self._trail_lim: List[int] = []
-        self._activity: Dict[int, float] = {}
-        self._activity_inc = 1.0
+        self._qhead = 0
         self._unsat = False
         #: Conflicts of the most recent :meth:`solve` call (observability).
         self.conflicts = 0
@@ -39,87 +59,101 @@ class Solver:
     # ------------------------------------------------------------------
     def new_var(self) -> int:
         self.num_vars += 1
+        self._grow(self.num_vars)
         return self.num_vars
+
+    def _grow(self, variable: int) -> None:
+        """Make every table hold variables up to ``variable``."""
+        extra = variable + 1 - len(self._level)
+        if extra <= 0:
+            return
+        self._watches.extend([] for _ in range(2 * extra))
+        self._value.extend([_UNSET] * (2 * extra))
+        self._level.extend([0] * extra)
+        self._reason.extend([None] * extra)
+        self._activity.extend([0.0] * extra)
+        self._queued.extend([False] * extra)
 
     def add_clause(self, literals: Iterable[int]) -> None:
         """Add one clause (a disjunction of literals)."""
-        clause = sorted(set(literals), key=abs)
+        unique = set(literals)
+        clause = sorted(unique, key=abs)
         if not clause:
             self._unsat = True
             return
         for literal in clause:
-            variable = abs(literal)
-            self.num_vars = max(self.num_vars, variable)
-            if -literal in clause and literal > 0:
+            self.num_vars = max(self.num_vars, abs(literal))
+            if literal > 0 and -literal in unique:
+                self._grow(self.num_vars)
                 return  # tautology
+        self._grow(self.num_vars)
+        codes = [_code(literal) for literal in clause]
         index = len(self._clauses)
-        self._clauses.append(clause)
-        if len(clause) == 1:
+        self._clauses.append(codes)
+        if len(codes) == 1:
             # Defer: units are enqueued at solve() start (level 0).
             return
-        self._watch(clause[0], index)
-        self._watch(clause[1], index)
-
-    def _watch(self, literal: int, clause_index: int) -> None:
-        self._watches.setdefault(literal, []).append(clause_index)
+        self._watches[codes[0]].append(index)
+        self._watches[codes[1]].append(index)
 
     # ------------------------------------------------------------------
     # assignment helpers
     # ------------------------------------------------------------------
-    def _value(self, literal: int) -> Optional[bool]:
-        assigned = self._assign.get(abs(literal))
-        if assigned is None:
-            return None
-        return assigned if literal > 0 else not assigned
-
-    def _enqueue(self, literal: int, reason: Optional[int]) -> bool:
-        value = self._value(literal)
-        if value is not None:
-            return value
-        variable = abs(literal)
-        self._assign[variable] = literal > 0
-        self._level[variable] = len(self._trail_lim)
-        self._reason[variable] = reason
-        self._trail.append(literal)
-        return True
+    def _assign(self, code: int, reason: Optional[int]) -> None:
+        """Make the unassigned literal ``code`` true at the current level."""
+        self._value[code] = _TRUE
+        self._value[code ^ 1] = _FALSE
+        self._level[code >> 1] = len(self._trail_lim)
+        self._reason[code >> 1] = reason
+        self._trail.append(code)
 
     def _propagate(self) -> Optional[int]:
         """BCP; returns a conflicting clause index or None."""
-        head = getattr(self, "_qhead", 0)
-        while head < len(self._trail):
-            literal = self._trail[head]
+        trail = self._trail
+        clauses = self._clauses
+        watches = self._watches
+        value = self._value
+        level = self._level
+        reason = self._reason
+        current_level = len(self._trail_lim)
+        head = self._qhead
+        while head < len(trail):
+            falsified = trail[head] ^ 1
             head += 1
-            falsified = -literal
-            watchers = self._watches.get(falsified, [])
+            watchers = watches[falsified]
             index = 0
             while index < len(watchers):
                 clause_index = watchers[index]
-                clause = self._clauses[clause_index]
+                clause = clauses[clause_index]
                 # Ensure the falsified literal sits in slot 1.
                 if clause[0] == falsified:
-                    clause[0], clause[1] = clause[1], clause[0]
+                    clause[0], clause[1] = clause[1], falsified
                 first = clause[0]
-                if self._value(first) is True:
+                first_value = value[first]
+                if first_value == _TRUE:
                     index += 1
                     continue
                 # Look for a replacement watch.
-                replacement = None
                 for position in range(2, len(clause)):
-                    if self._value(clause[position]) is not False:
-                        replacement = position
+                    candidate = clause[position]
+                    if value[candidate] != _FALSE:
+                        clause[1], clause[position] = candidate, clause[1]
+                        watchers[index] = watchers[-1]
+                        watchers.pop()
+                        watches[candidate].append(clause_index)
                         break
-                if replacement is not None:
-                    clause[1], clause[replacement] = clause[replacement], clause[1]
-                    watchers[index] = watchers[-1]
-                    watchers.pop()
-                    self._watch(clause[1], clause_index)
-                    continue
-                # No replacement: clause is unit or conflicting.
-                if self._value(first) is False:
-                    self._qhead = len(self._trail)
-                    return clause_index
-                self._enqueue(first, clause_index)
-                index += 1
+                else:
+                    # No replacement: clause is unit or conflicting.
+                    if first_value == _FALSE:
+                        self._qhead = len(trail)
+                        return clause_index
+                    # _assign inlined: this is the solver's innermost loop.
+                    value[first] = _TRUE
+                    value[first ^ 1] = _FALSE
+                    level[first >> 1] = current_level
+                    reason[first >> 1] = clause_index
+                    trail.append(first)
+                    index += 1
         self._qhead = head
         return None
 
@@ -127,62 +161,88 @@ class Solver:
     # conflict analysis
     # ------------------------------------------------------------------
     def _bump(self, variable: int) -> None:
-        self._activity[variable] = self._activity.get(variable, 0.0) + self._activity_inc
-        if self._activity[variable] > 1e100:
-            for key in self._activity:
-                self._activity[key] *= 1e-100
+        activity = self._activity
+        activity[variable] += self._activity_inc
+        if activity[variable] > 1e100:
+            for other in range(1, self.num_vars + 1):
+                activity[other] *= 1e-100
             self._activity_inc *= 1e-100
+            self._rebuild_heap()
+        elif len(self._heap) > 4 * self.num_vars:
+            self._rebuild_heap()  # drop the stale entries bumps leave behind
+        else:
+            heapq.heappush(self._heap, (-activity[variable], variable))
+            self._queued[variable] = True
 
     def _analyse(self, conflict_index: int) -> "tuple[List[int], int]":
-        """First-UIP learning: returns (learnt clause, backjump level)."""
+        """First-UIP learning: returns (learnt clause codes, backjump level)."""
+        level = self._level
+        trail = self._trail
         current_level = len(self._trail_lim)
         learnt: List[int] = []
-        seen: Dict[int, bool] = {}
+        seen = set()
         counter = 0
-        literal = 0
+        resolved = 0  # the variable resolved on; none before the first step
         reason_clause = self._clauses[conflict_index]
-        trail_position = len(self._trail) - 1
+        trail_position = len(trail) - 1
         while True:
-            for lit in reason_clause:
-                if abs(lit) == abs(literal):
-                    continue  # the literal being resolved on
-                variable = abs(lit)
-                if seen.get(variable) or self._level.get(variable, 0) == 0:
+            for code in reason_clause:
+                variable = code >> 1
+                if variable == resolved or variable in seen or level[variable] == 0:
                     continue
-                seen[variable] = True
+                seen.add(variable)
                 self._bump(variable)
-                if self._level[variable] == current_level:
+                if level[variable] == current_level:
                     counter += 1
                 else:
-                    learnt.append(lit)
+                    learnt.append(code)
             # Pick the next trail literal to resolve on.
-            while not seen.get(abs(self._trail[trail_position])):
+            while trail[trail_position] >> 1 not in seen:
                 trail_position -= 1
-            literal = -self._trail[trail_position]
-            variable = abs(literal)
-            seen[variable] = False
+            literal = trail[trail_position] ^ 1
+            resolved = literal >> 1
+            seen.discard(resolved)
             counter -= 1
             trail_position -= 1
             if counter == 0:
                 break
-            reason_index = self._reason[variable]
-            reason_clause = self._clauses[reason_index]
+            reason_clause = self._clauses[self._reason[resolved]]
         learnt.insert(0, literal)
         if len(learnt) == 1:
             return learnt, 0
-        backjump = max(self._level[abs(lit)] for lit in learnt[1:])
+        backjump = max(level[code >> 1] for code in learnt[1:])
         return learnt, backjump
 
-    def _backtrack(self, level: int) -> None:
-        while len(self._trail_lim) > level:
+    def _backtrack(self, target: int) -> None:
+        trail = self._trail
+        value = self._value
+        activity = self._activity
+        queued = self._queued
+        heap = self._heap
+        while len(self._trail_lim) > target:
             limit = self._trail_lim.pop()
-            while len(self._trail) > limit:
-                literal = self._trail.pop()
-                variable = abs(literal)
-                del self._assign[variable]
-                del self._level[variable]
-                del self._reason[variable]
-        self._qhead = min(getattr(self, "_qhead", 0), len(self._trail))
+            while len(trail) > limit:
+                code = trail.pop()
+                value[code] = value[code ^ 1] = _UNSET
+                variable = code >> 1
+                if not queued[variable]:
+                    heapq.heappush(heap, (-activity[variable], variable))
+                    queued[variable] = True
+        self._qhead = min(self._qhead, len(trail))
+
+    def _rebuild_heap(self) -> None:
+        """One current heap entry per unassigned variable, none else."""
+        value = self._value
+        activity = self._activity
+        queued = self._queued
+        queued[:] = [False] * len(queued)
+        heap = self._heap
+        heap.clear()
+        for variable in range(1, self.num_vars + 1):
+            if value[2 * variable] == _UNSET:
+                heap.append((-activity[variable], variable))
+                queued[variable] = True
+        heapq.heapify(heap)
 
     # ------------------------------------------------------------------
     # main loop
@@ -197,29 +257,34 @@ class Solver:
         Returns a model ({variable: value}) when satisfiable, ``None``
         when unsatisfiable, and raises :class:`BudgetExceeded` when
         ``max_conflicts`` runs out before a decision is reached.
+        Learnt clauses and activities carry over to the next call.
         """
         self.conflicts = 0
         if self._unsat:
             return None
+        value = self._value
         self._qhead = 0
         self._trail.clear()
         self._trail_lim.clear()
-        self._assign.clear()
-        self._level.clear()
-        self._reason.clear()
+        value[:] = [_UNSET] * len(value)
+        self._rebuild_heap()
         # Level-0 units.
         for index, clause in enumerate(self._clauses):
             if len(clause) == 1:
-                if not self._enqueue(clause[0], index):
+                if value[clause[0]] == _FALSE:
                     return None
+                if value[clause[0]] == _UNSET:
+                    self._assign(clause[0], index)
         if self._propagate() is not None:
             return None
         for literal in assumptions:
-            if self._value(literal) is False:
+            self._grow(abs(literal))
+            code = _code(literal)
+            if value[code] == _FALSE:
                 return None
-            if self._value(literal) is None:
+            if value[code] == _UNSET:
                 self._trail_lim.append(len(self._trail))
-                self._enqueue(literal, None)
+                self._assign(code, None)
                 if self._propagate() is not None:
                     return None
         assumption_levels = len(self._trail_lim)
@@ -239,30 +304,31 @@ class Solver:
                 index = len(self._clauses)
                 self._clauses.append(learnt)
                 if len(learnt) > 1:
-                    self._watch(learnt[0], index)
-                    self._watch(learnt[1], index)
-                self._enqueue(learnt[0], index)
+                    self._watches[learnt[0]].append(index)
+                    self._watches[learnt[1]].append(index)
+                self._assign(learnt[0], index)
                 self._activity_inc *= 1.05
             else:
-                decision = self._pick_branch()
-                if decision is None:
-                    return dict(self._assign)
+                variable = self._pick_branch()
+                if variable is None:
+                    return {code >> 1: not code & 1 for code in self._trail}
                 self._trail_lim.append(len(self._trail))
-                self._enqueue(decision, None)
+                # Negative-first polarity: cheap and effective on miters.
+                self._assign(2 * variable + 1, None)
 
     def _pick_branch(self) -> Optional[int]:
-        best = None
-        best_activity = -1.0
-        for variable in range(1, self.num_vars + 1):
-            if variable in self._assign:
-                continue
-            activity = self._activity.get(variable, 0.0)
-            if activity > best_activity:
-                best_activity = activity
-                best = variable
-        if best is None:
-            return None
-        return -best  # negative-first polarity: cheap and effective on miters
+        """The unassigned variable of highest activity, lowest index first."""
+        heap = self._heap
+        value = self._value
+        activity = self._activity
+        while heap:
+            negative, variable = heapq.heappop(heap)
+            if -negative != activity[variable]:
+                continue  # stale: a later bump pushed a newer entry
+            self._queued[variable] = False
+            if value[2 * variable] == _UNSET:
+                return variable
+        return None
 
 
 class BudgetExceeded(RuntimeError):

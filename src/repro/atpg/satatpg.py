@@ -2,10 +2,12 @@
 
 Fault detection and fault-pair distinguishing both reduce to "set this
 miter output to 1": detection mitres the good machine against the faulty
-machine, distinguishing mitres two faulty machines.  The CDCL solver
+machine, distinguishing mitres two faulty machines, both through the
+cone-shared :func:`~repro.atpg.distinguish.build_miter`.  The CDCL solver
 (:mod:`repro.atpg.sat`) decides the question exactly, which makes this
-engine (a) a cross-check for PODEM on every fixture and (b) the fallback
-for the equivalence proofs PODEM's backtrack limit gives up on.
+engine (a) a cross-check for PODEM on every fixture and (b) the pair
+decision procedure of diagnostic test generation, including the
+equivalence proofs PODEM's backtrack limit gives up on.
 """
 
 from __future__ import annotations
@@ -17,13 +19,7 @@ from ..circuit.netlist import Netlist
 from ..faults.model import Fault
 from ..obs import get_default_registry, trace_span
 from .cnf import CnfEncoder
-from .distinguish import (
-    MITER_OUTPUT,
-    DistinguishResult,
-    build_difference_miter,
-    build_miter,
-    injected_copy,
-)
+from .distinguish import MITER_OUTPUT, DistinguishResult, build_miter
 from .podem import PodemResult, Status
 from .sat import BudgetExceeded
 
@@ -69,11 +65,7 @@ class SatAtpg:
         callers can swap engines freely; the assignment covers *all*
         primary inputs (SAT models are total).
         """
-        miter = build_difference_miter(
-            self.netlist.copy(self.netlist.name),
-            injected_copy(self.netlist, fault),
-        )
-        status, assignment = self._solve_miter(miter)
+        status, assignment = self._solve_miter(build_miter(self.netlist, fault))
         return PodemResult(status, fault, assignment)
 
     def distinguish(self, fault_a: Fault, fault_b: Fault) -> DistinguishResult:

@@ -12,9 +12,7 @@ from tests.conftest import tiny_spec
 class TestS27:
     def test_reaches_exhaustive_resolution(self, s27_scan, s27_faults):
         """Pairs left together must be exactly the exhaustively equivalent ones."""
-        tests, report = generate_diagnostic_tests(
-            s27_scan, s27_faults, seed=1, miter_backtrack_limit=5000
-        )
+        tests, report = generate_diagnostic_tests(s27_scan, s27_faults, seed=1)
         assert not report.aborted_pairs
         achieved = response_classes(s27_scan, s27_faults, tests)
         exhaustive = response_classes(
@@ -24,9 +22,7 @@ class TestS27:
         assert key(achieved) == key(exhaustive)
 
     def test_equivalent_pairs_reported(self, s27_scan, s27_faults):
-        _, report = generate_diagnostic_tests(
-            s27_scan, s27_faults, seed=1, miter_backtrack_limit=5000
-        )
+        _, report = generate_diagnostic_tests(s27_scan, s27_faults, seed=1)
         exhaustive = response_classes(
             s27_scan, s27_faults, TestSet.exhaustive(s27_scan.inputs)
         )
@@ -39,9 +35,7 @@ class TestRandomCircuits:
     def test_only_settled_pairs_remain(self, seed):
         netlist, _ = full_scan(generate_netlist(tiny_spec(seed + 400, gates=25)))
         faults = collapse(netlist)
-        tests, report = generate_diagnostic_tests(
-            netlist, faults, seed=seed, miter_backtrack_limit=4000
-        )
+        tests, report = generate_diagnostic_tests(netlist, faults, seed=seed)
         detected = set(report.generation.detected)
         targets = [f for f in faults if f in detected]
         classes = response_classes(netlist, targets, tests)

@@ -3,12 +3,22 @@
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from repro.atpg import Distinguisher, Status, build_miter, inject_fault, injected_copy
+from repro.atpg import (
+    Distinguisher,
+    SatAtpg,
+    Status,
+    build_difference_miter,
+    build_miter,
+    injected_copy,
+)
 from repro.atpg.distinguish import MITER_OUTPUT
-from repro.circuit import GateType
-from repro.faults import Fault
+from repro.circuit import GateType, from_gates, full_scan, generate_netlist
+from repro.faults import Fault, all_faults
 from repro.sim import FaultSimulator, ResponseTable, TestSet, output_words, simulate
+from tests.conftest import tiny_spec
 
 
 class TestInjectFault:
@@ -53,19 +63,98 @@ class TestInjectFault:
             injected_copy(c17, Fault("3", 0, input_of="22"))
 
 
+def fault_site_kind(netlist, fault):
+    """Which kind of fault site ``fault`` sits on."""
+    if not fault.is_stem:
+        return "pin"
+    if netlist.gates[fault.line].gate_type is GateType.INPUT:
+        return "input stem"
+    return "internal stem"
+
+
+def reached_outputs(netlist, fault):
+    """Positions of the outputs ``fault``'s fan-out cone reaches."""
+    cone = netlist.output_cone(fault.line if fault.is_stem else fault.input_of)
+    return {k for k, net in enumerate(netlist.outputs) if net in cone}
+
+
+@st.composite
+def miter_cases(draw):
+    """A random full-scan circuit and a fault pair on it.
+
+    The pair's first fault is drawn by site kind (input stem, internal
+    stem, pin, or any fault on an output net); its partner is a random
+    fault, the opposite stuck value on the same site, a fault whose cone
+    reaches none of the first one's outputs, or the fault-free machine.
+    """
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    gates = draw(st.integers(min_value=6, max_value=30))
+    netlist, _ = full_scan(generate_netlist(tiny_spec(seed, gates=gates)))
+    faults = all_faults(netlist)
+    site = draw(st.sampled_from(["input stem", "internal stem", "pin", "output"]))
+    if site == "output":
+        candidates = [f for f in faults if f.line in netlist.outputs]
+    else:
+        candidates = [f for f in faults if fault_site_kind(netlist, f) == site]
+    assume(candidates)
+    fault_a = draw(st.sampled_from(candidates))
+    partner = draw(st.sampled_from(["any", "opposite", "disjoint", "fault-free"]))
+    if partner == "fault-free":
+        return netlist, fault_a, None
+    if partner == "opposite":
+        flipped = Fault(fault_a.line, 1 - fault_a.stuck_at, fault_a.input_of)
+        return netlist, fault_a, flipped
+    if partner == "disjoint":
+        reach = reached_outputs(netlist, fault_a)
+        candidates = [f for f in faults if not reach & reached_outputs(netlist, f)]
+        assume(candidates)
+    else:
+        candidates = faults
+    return netlist, fault_a, draw(st.sampled_from(candidates))
+
+
 class TestMiter:
-    def test_miter_output_semantics(self, c17):
-        fa, fb = Fault("10", 1), Fault("16", 0)
-        miter = build_miter(c17, fa, fb)
+    @settings(max_examples=150, deadline=None)
+    @given(case=miter_cases())
+    def test_miter_output_semantics(self, case):
+        """The miter output is the OR over outputs of the two machines'
+        output differences, exhaustively; it has fewer gates than the
+        miter of two full copies whenever the cones miss an output."""
+        netlist, fault_a, fault_b = case
+        miter = build_miter(netlist, fault_a, fault_b)
         assert miter.outputs == [MITER_OUTPUT]
-        tests = TestSet.exhaustive(c17.inputs)
-        miter_word = output_words(miter, tests)[MITER_OUTPUT]
-        a_words = output_words(injected_copy(c17, fa), tests)
-        b_words = output_words(injected_copy(c17, fb), tests)
+        assert miter.inputs == netlist.inputs
+        tests = TestSet.exhaustive(netlist.inputs)
+        machine_a = injected_copy(netlist, fault_a)
+        machine_b = netlist if fault_b is None else injected_copy(netlist, fault_b)
+        a_words = output_words(machine_a, tests)
+        b_words = output_words(machine_b, tests)
         expected = 0
-        for net in c17.outputs:
-            expected |= a_words[net] ^ b_words[net]
-        assert miter_word == expected
+        # Outputs by position: a stuck input stem renames an output on it.
+        for out_a, out_b in zip(machine_a.outputs, machine_b.outputs):
+            expected |= a_words[out_a] ^ b_words[out_b]
+        assert output_words(miter, tests)[MITER_OUTPUT] == expected
+
+        reach = reached_outputs(netlist, fault_a)
+        if fault_b is not None:
+            reach |= reached_outputs(netlist, fault_b)
+        if len(reach) < len(netlist.outputs):
+            two_copies = build_difference_miter(machine_a, machine_b)
+            assert miter.num_gates < two_copies.num_gates
+
+    def test_unobservable_pair_gives_constant_zero(self):
+        netlist = from_gates(
+            "dangling",
+            ["a", "b"],
+            [("y", GateType.AND, ["a", "b"]), ("d", GateType.NOT, ["a"])],
+            ["y"],
+        )
+        pair = (Fault("d", 0), Fault("d", 1))
+        miter = build_miter(netlist, *pair)
+        assert miter.gates[MITER_OUTPUT].gate_type is GateType.CONST0
+        assert miter.inputs == ["a", "b"]
+        assert Distinguisher(netlist).distinguish(*pair).proven_equivalent
+        assert SatAtpg(netlist).distinguish(*pair).proven_equivalent
 
     def test_sequential_rejected(self, s27):
         with pytest.raises(ValueError):

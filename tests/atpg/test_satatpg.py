@@ -1,14 +1,16 @@
 """Cross-validation of SAT-based ATPG against PODEM and exhaustive truth."""
 
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.atpg import Distinguisher, Podem, Status
 from repro.atpg.cnf import CnfEncoder, solve_output_one
 from repro.atpg.satatpg import SatAtpg
-from repro.circuit import full_scan, generate_netlist
-from repro.faults import all_faults, collapse
+from repro.circuit import full_scan, generate_netlist, load_circuit, prepare_for_test
+from repro.faults import Fault, all_faults, collapse
 from repro.sim import FaultSimulator, ResponseTable, TestSet
 from tests.conftest import tiny_spec
 
@@ -107,6 +109,34 @@ class TestSatDistinguish:
                 s27_scan, [s27_faults[1], s27_faults[8]], tests
             )
             assert table.signature(0, 0) != table.signature(1, 0)
+
+
+GOLDEN_VERDICTS = json.loads(
+    (Path(__file__).parent / "golden" / "miter_verdicts.json").read_text()
+)
+
+
+class TestGoldenVerdicts:
+    """Every miter-phase pair decision of ``generate_diagnostic_tests`` at
+    seed 0 on the golden circuits, as the two-copy miter decided it.
+
+    Each pair is re-decided on its own: the verdict must be identical, and
+    a distinguishing witness must really split the pair.
+    """
+
+    @pytest.mark.parametrize("circuit", sorted(GOLDEN_VERDICTS))
+    def test_same_verdicts(self, circuit):
+        netlist = prepare_for_test(load_circuit(circuit))
+        engine = SatAtpg(netlist)
+        for fault_a, fault_b, verdict in GOLDEN_VERDICTS[circuit]:
+            fa, fb = Fault(*fault_a), Fault(*fault_b)
+            outcome = engine.distinguish(fa, fb)
+            assert outcome.status.value == verdict, (fa, fb)
+            if outcome.distinguished:
+                tests = TestSet(netlist.inputs)
+                tests.append_assignment(outcome.test)
+                table = ResponseTable.build(netlist, [fa, fb], tests)
+                assert table.signature(0, 0) != table.signature(1, 0), (fa, fb)
 
 
 class TestInterface:

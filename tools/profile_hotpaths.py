@@ -12,6 +12,9 @@ guess.  This harness runs one representative workload per area —
 * ``partition`` — the partition-refinement path: class-major
                   ``refine_scores`` sweeps plus a fault-block-sharded
                   Procedure 1 restart on an ITC-99-class proxy table,
+* ``atpg``      — a cold diagnostic test generation on p208 (seed 0):
+                  detection ATPG, random splitting and the SAT miter
+                  phase, from a freshly loaded netlist,
 * ``artifact``  — artifact save/load round trips (the serve cold path),
 * ``serve``     — a warm-pool request batch through ``DiagnosisServer``
                   (``workers=1`` keeps the work on the profiled thread)
@@ -117,6 +120,19 @@ def prepare_partition():
     return run
 
 
+def prepare_atpg():
+    from repro.atpg import generate_diagnostic_tests
+    from repro.circuit import load_circuit, prepare_for_test
+    from repro.faults import collapse
+
+    def run():
+        # A fresh netlist per run, so no cached structure carries over.
+        netlist = prepare_for_test(load_circuit("p208"))
+        generate_diagnostic_tests(netlist, collapse(netlist), seed=0)
+
+    return run
+
+
 def prepare_artifact(workdir: Path):
     from repro.api import DictionaryConfig, build
     from repro.store import load_artifact, save_artifact
@@ -157,6 +173,7 @@ AREAS = {
     "kernels": lambda workdir: prepare_kernels(),
     "parallel": lambda workdir: prepare_parallel(),
     "partition": lambda workdir: prepare_partition(),
+    "atpg": lambda workdir: prepare_atpg(),
     "artifact": prepare_artifact,
     "serve": prepare_serve,
 }
