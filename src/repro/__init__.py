@@ -49,7 +49,6 @@ from .dictionaries import (
     FullDictionary,
     PassFailDictionary,
     SameDifferentDictionary,
-    build_same_different,
 )
 from .diagnosis import Diagnoser, observe_defect, observe_fault
 from .experiments import render_table6, run_table6, table6_row
@@ -86,7 +85,6 @@ __all__ = [
     "all_faults",
     "available_circuits",
     "build",
-    "build_same_different",
     "checkpoint_faults",
     "collapse",
     "full_scan",

@@ -1,8 +1,6 @@
 """The public facade: one entry point each for building and serving.
 
-Three PRs of growth left the construction surface scattered across
-``build_same_different`` / ``select_baselines`` / ``replace_baselines``,
-each with its own loose kwargs.  This module is the one documented way in:
+:func:`build` is the one documented way to construct a dictionary:
 
 >>> from repro.api import DictionaryConfig, build
 >>> built = build(table, kind="same-different",
@@ -13,9 +11,9 @@ each with its own loose kwargs.  This module is the one documented way in:
 :class:`~repro.sim.responses.ResponseTable` or the raw
 ``netlist + faults + tests`` triple (it fault-simulates for you), and the
 :class:`DictionaryConfig` carries every tuning knob — including which
-kernel backend (:mod:`repro.kernels`) runs the inner loops.  The legacy
-entry points remain as thin delegates that emit ``DeprecationWarning`` on
-the old loose-kwarg shapes.
+kernel backend (:mod:`repro.kernels`) runs the inner loops.  The
+single-procedure helpers :func:`~repro.dictionaries.select_baselines`
+and :func:`~repro.dictionaries.replace_baselines` take the same config.
 
 :func:`serve` is the matching serve-side entry point: it stands up a
 :class:`~repro.serve.DiagnosisServer` over packed artifacts for batch
@@ -32,7 +30,6 @@ daemon (``docs/daemon.md``) for the long-running deployment shape.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -171,16 +168,7 @@ def build(
     return built
 
 
-#: Loose kwargs :func:`serve` still accepts under deprecation; each maps
-#: straight onto the :class:`~repro.serve.ServeConfig` field of the same
-#: name.
-_SERVE_LEGACY_KWARGS = (
-    "pool_size", "workers", "deadline_ms", "max_retries",
-    "retry_backoff_ms", "limit",
-)
-
-
-def serve(artifact=None, *, config=None, **legacy):
+def serve(artifact=None, *, config=None):
     """Stand up a batch diagnosis server over packed artifacts.
 
     ``artifact`` is the default artifact path for requests that do not
@@ -189,33 +177,10 @@ def serve(artifact=None, *, config=None, **legacy):
     retry policy, default candidate limit).  Returns a
     :class:`~repro.serve.DiagnosisServer`; see ``docs/serving.md`` for
     batch semantics and reason codes.
-
-    The pre-PR-8 loose kwargs (``pool_size=``, ``workers=``,
-    ``deadline_ms=``, ``max_retries=``, ``retry_backoff_ms=``,
-    ``limit=``) still work but emit ``DeprecationWarning`` — pass a
-    ``ServeConfig`` instead.
     """
     # Imported lazily: repro.serve imports repro.store, which imports us.
     from .serve import DiagnosisServer, ServeConfig
 
-    if legacy:
-        unknown = set(legacy) - set(_SERVE_LEGACY_KWARGS)
-        if unknown:
-            raise TypeError(
-                f"serve() got unexpected keyword arguments {sorted(unknown)}"
-            )
-        if config is not None:
-            raise ValueError(
-                "serve() takes either config= or the legacy loose kwargs, "
-                f"not both (got config= and {sorted(legacy)})"
-            )
-        warnings.warn(
-            "passing loose keyword arguments to repro.api.serve() is "
-            "deprecated; pass config=ServeConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        config = ServeConfig(**legacy)
     if config is None:
         config = ServeConfig()
     return DiagnosisServer(config, default_artifact=artifact)

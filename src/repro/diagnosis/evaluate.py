@@ -54,18 +54,13 @@ class CampaignResult:
     def top10_accuracy(self) -> float:
         return self.hits_at_10 / self.injections if self.injections else 0.0
 
-    def as_dict(self, schema: int = 2) -> Dict[str, object]:
+    def as_dict(self) -> Dict[str, object]:
         """Fields plus derived rates, for JSON export.
 
         Mirrors :meth:`repro.dictionaries.samediff.BuildReport.as_dict`:
-        ``schema=2`` (default) carries a ``"schema": 2`` marker, ``schema=1``
-        is the marker-free legacy shape with the same keys.
+        the dict carries a ``"schema": 2`` layout marker.
         """
-        if schema not in (1, 2):
-            raise ValueError(
-                f"unknown CampaignResult schema {schema!r} (supported: 1, 2)"
-            )
-        data: Dict[str, object] = {
+        return {
             "kind": self.kind,
             "injections": self.injections,
             "unique": self.unique,
@@ -76,10 +71,8 @@ class CampaignResult:
             "mean_candidates": self.mean_candidates,
             "top1_accuracy": self.top1_accuracy,
             "top10_accuracy": self.top10_accuracy,
+            "schema": 2,
         }
-        if schema == 2:
-            data["schema"] = 2
-        return data
 
 
 def single_fault_campaign(

@@ -33,7 +33,6 @@ from .samediff import (
     MultiBaselineDictionary,
     SameDifferentDictionary,
     add_secondary_baselines,
-    build_same_different,
     replace_baselines,
     select_baselines,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "SameDifferentDictionary",
     "ScoredCandidate",
     "add_secondary_baselines",
-    "build_same_different",
     "indistinguished_pairs",
     "pack_full",
     "pack_passfail",

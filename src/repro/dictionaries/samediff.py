@@ -12,12 +12,12 @@ This module implements:
 * **Procedure 1** (:func:`select_baselines`): greedy per-test selection of
   the candidate distinguishing the most target pairs, with the ``LOWER``
   early-termination heuristic;
-* the **random-restart driver** (:func:`build_same_different`): Procedure 1
-  re-run over shuffled test orders until ``calls`` consecutive calls bring
-  no improvement (the paper's ``CALLS1``); restarts derive their test
-  orders from per-restart seed streams (:mod:`repro.parallel.seeds`) and
-  can fan out over worker processes with ``jobs > 1``, byte-identically
-  to the serial path;
+* the **random-restart driver** (:func:`_build_impl`, reached through
+  :func:`repro.api.build`): Procedure 1 re-run over shuffled test orders
+  until ``calls`` consecutive calls bring no improvement (the paper's
+  ``CALLS1``); restarts derive their test orders from per-restart seed
+  streams (:mod:`repro.parallel.seeds`) and can fan out over worker
+  processes with ``jobs > 1``, byte-identically to the serial path;
 * **Procedure 2** (:func:`replace_baselines`): a hill-climbing pass that
   tries every alternative baseline for every test against the *global*
   distinguished-pair count;
@@ -28,19 +28,18 @@ This module implements:
 
 The inner loops are delegated to a pluggable kernel backend
 (:mod:`repro.kernels`): ``naive`` is the reference code kept in this
-module, ``packed`` the interned-column fast path.  Both are bit-identical;
-the backend only changes how long a build takes.
+module, ``packed`` the interned-column fast path and ``vector`` the
+batched word-array sweep.  All are bit-identical; the backend only
+changes how long a build takes.
 
-The loose-kwarg shapes of :func:`build_same_different`,
-:func:`select_baselines` and :func:`replace_baselines` are deprecated in
-favour of :func:`repro.api.build` with a
-:class:`~repro.api.DictionaryConfig`; they warn but keep working.
+Tuning comes from a :class:`~repro.api.DictionaryConfig`
+(``config=``); :func:`repro.api.build` is the one public entry point for
+a whole build.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -56,8 +55,8 @@ from ..partition import (
 from ..sim.responses import PASS, ResponseTable, Signature
 from .base import FaultDictionary
 
-#: The selection procedures refine this partition engine in place; the
-#: name survives from when the class lived in ``dictionaries.resolution``.
+#: The selection procedures refine this partition engine in place, under
+#: its historical name.
 Partition = FaultPartition
 
 
@@ -173,31 +172,19 @@ class BuildReport:
     classes_after_procedure1: int = 0
     classes_after_procedure2: int = 0
 
-    #: Fields added by schema 3; schemas 1 and 2 drop them.
-    _SCHEMA3_FIELDS = ("classes_after_procedure1", "classes_after_procedure2")
-
-    def as_dict(self, schema: int = 3) -> Dict[str, object]:
+    def as_dict(self) -> Dict[str, object]:
         """All fields plus the derived counts, for JSON export.
 
-        ``schema=3`` (the default) carries the class-count trajectory and
-        a ``"schema": 3`` marker so ``--metrics-out`` consumers can detect
-        the layout; ``schema=2`` reproduces the pre-partition-core shape
-        (no class counts, marker 2) and ``schema=1`` the pre-kernel shape
-        (same keys as 2, no marker).
+        Carries a ``"schema": 3`` layout marker for ``--metrics-out``
+        consumers.  Artifacts and :func:`~repro.store.semantic_digest`
+        embed this dict, so its keys (marker included) are part of every
+        artifact's identity.
         """
-        if schema not in (1, 2, 3):
-            raise ValueError(
-                f"unknown BuildReport schema {schema!r} (supported: 1, 2, 3)"
-            )
         data = asdict(self)
         data["indistinguished_procedure1"] = self.indistinguished_procedure1
         data["indistinguished_procedure2"] = self.indistinguished_procedure2
         data["procedure2_improved"] = self.procedure2_improved
-        if schema < 3:
-            for name in self._SCHEMA3_FIELDS:
-                del data[name]
-        if schema >= 2:
-            data["schema"] = schema
+        data["schema"] = 3
         return data
 
     @property
@@ -211,26 +198,6 @@ class BuildReport:
     @property
     def procedure2_improved(self) -> bool:
         return self.distinguished_procedure2 > self.distinguished_procedure1
-
-
-# ----------------------------------------------------------------------
-# deprecation plumbing for the loose-kwarg entry points
-# ----------------------------------------------------------------------
-def _warn_loose_kwargs(func_name: str, names: Sequence[str]) -> None:
-    warnings.warn(
-        f"passing {', '.join(names)} to {func_name} directly is deprecated; "
-        "use repro.api.build with a DictionaryConfig (or pass config=...) "
-        "instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _reject_config_conflict(func_name: str, names: Sequence[str]) -> None:
-    raise ValueError(
-        f"{func_name}: pass {', '.join(names)} through the DictionaryConfig, "
-        "not alongside config="
-    )
 
 
 # ----------------------------------------------------------------------
@@ -421,7 +388,6 @@ def _procedure1_call(
 def select_baselines(
     table: ResponseTable,
     order: Optional[Sequence[int]] = None,
-    lower: Optional[int] = None,
     partition: Optional[Partition] = None,
     *,
     config=None,
@@ -430,82 +396,24 @@ def select_baselines(
 
     Returns the baselines (indexed by *test*, not by order position), the
     final partition of fault indices, and the distinguished-pair count.
-    ``lower`` is the paper's ``LOWER`` constant: candidate evaluation for a
-    test stops after that many consecutive candidates fail to beat the
-    best ``dist`` seen so far.
-
-    .. deprecated:: passing ``lower`` directly.  Use ``config=`` with a
-       :class:`~repro.api.DictionaryConfig` (or :func:`repro.api.build`);
-       the loose kwarg emits a :class:`DeprecationWarning`.
+    ``config.lower`` (default 10) is the paper's ``LOWER`` constant:
+    candidate evaluation for a test stops after that many consecutive
+    candidates fail to beat the best ``dist`` seen so far.
     """
-    if lower is not None:
-        if config is not None:
-            _reject_config_conflict("select_baselines", ["lower"])
-        _warn_loose_kwargs("select_baselines", ["lower"])
-    resolved_lower = (
-        lower
-        if lower is not None
-        else (config.lower if config is not None else 10)
-    )
+    lower = config.lower if config is not None else 10
     backend = get_backend(config.backend if config is not None else None)
     if order is None:
         order = range(table.n_tests)
     if partition is not None:
         # A caller-seeded partition must be refined in place; only the
         # reference loop has those semantics.
-        run = _select_into_partition(table, order, resolved_lower, partition)
+        run = _select_into_partition(table, order, lower, partition)
     else:
-        run = backend.procedure1(table, order, resolved_lower)
+        run = backend.procedure1(table, order, lower)
         if run.partition is None:
             run.partition = _replay_partition(table, run.winners)
     _flush_procedure1(run)
     return run.baselines, run.partition, run.distinguished
-
-
-def build_same_different(
-    table: ResponseTable,
-    lower: Optional[int] = None,
-    calls: Optional[int] = None,
-    replace: Optional[bool] = None,
-    seed: Optional[int] = None,
-    progress: Optional[ProgressReporter] = None,
-    jobs: Optional[int] = None,
-    *,
-    config=None,
-) -> Tuple[SameDifferentDictionary, BuildReport]:
-    """The paper's full flow: restarted Procedure 1, then Procedure 2.
-
-    Thin delegate of the :func:`repro.api.build` facade.  The loose tuning
-    kwargs (``lower``, ``calls``, ``replace``, ``seed``, ``jobs``) are
-    deprecated — pass a :class:`~repro.api.DictionaryConfig` via
-    ``config=`` (or call :func:`repro.api.build` directly); the old shape
-    still works but emits a :class:`DeprecationWarning`.
-
-    See :func:`_build_impl` for the construction semantics.
-    """
-    loose = (
-        ("lower", lower),
-        ("calls", calls),
-        ("replace", replace),
-        ("seed", seed),
-        ("jobs", jobs),
-    )
-    passed = [name for name, value in loose if value is not None]
-    if passed:
-        if config is not None:
-            _reject_config_conflict("build_same_different", passed)
-        _warn_loose_kwargs("build_same_different", passed)
-    if config is None:
-        from ..api import DictionaryConfig
-
-        config = DictionaryConfig(
-            seed=seed if seed is not None else 0,
-            calls1=calls if calls is not None else 100,
-            lower=lower if lower is not None else 10,
-            jobs=jobs if jobs is not None else 1,
-            procedure2=replace if replace is not None else True,
-        )
-    return _build_impl(table, config, progress)
 
 
 def _build_impl(
@@ -514,8 +422,9 @@ def _build_impl(
     progress: Optional[ProgressReporter] = None,
     checkpoint=None,
 ) -> Tuple[SameDifferentDictionary, BuildReport]:
-    """The construction engine behind :func:`repro.api.build`.
+    """The paper's full flow: restarted Procedure 1, then Procedure 2.
 
+    This is the construction engine behind :func:`repro.api.build`.
     Procedure 1 runs first on the natural test order, then on random
     shuffles, until ``calls1`` consecutive runs fail to improve the
     distinguished-pair count (``CALLS1``).  Restarts also stop early when
@@ -604,29 +513,11 @@ def _build_impl(
                 ).run(fold)
                 report.batches = outcome.batches
             else:
-                from ..parallel.hierarchy import (
-                    FaultBlockPlan,
-                    fault_blocks_from_env,
-                    sharded_procedure1,
-                )
-
-                blocks = fault_blocks_from_env()
-                plan = (
-                    FaultBlockPlan(table.n_faults, blocks)
-                    if blocks >= 2
-                    else None
-                )
                 restart = fold.calls_made
                 while not fold.done:
                     order = restart_order(seed, restart, table.n_tests)
                     with trace_span("procedure1.call", restart=restart):
-                        if plan is not None:
-                            # $REPRO_FAULT_BLOCKS: score through the
-                            # level-1 block fold (byte-identical).
-                            run = sharded_procedure1(table, order, lower, plan)
-                            _flush_procedure1(run)
-                        else:
-                            run = _procedure1_call(table, order, lower, backend)
+                        run = _procedure1_call(table, order, lower, backend)
                     fold.consume(run.distinguished, run.baselines)
                     restart += 1
     best_baselines = fold.best_baselines
@@ -711,25 +602,18 @@ def _full_dictionary_distinguished(table: ResponseTable) -> int:
 def replace_baselines(
     table: ResponseTable,
     baselines: Sequence[Signature],
-    max_passes: Optional[int] = None,
+    max_passes: int = 10,
     *,
     config=None,
 ) -> Tuple[List[Signature], int, int, int]:
     """Procedure 2: hill-climb individual baselines against the global count.
 
-    Returns ``(baselines, distinguished, passes, replacements)``.  See
-    :func:`_replace_naive` for the exact semantics.
-
-    .. deprecated:: passing ``max_passes`` without ``config=``.  Use
-       :func:`repro.api.build` (which runs Procedure 2 as part of the
-       flow) or pass a :class:`~repro.api.DictionaryConfig` alongside;
-       the bare loose kwarg emits a :class:`DeprecationWarning`.
+    Returns ``(baselines, distinguished, passes, replacements)``.  At most
+    ``max_passes`` passes run; ``config`` only picks the kernel backend.
+    See :func:`_replace_naive` for the exact semantics.
     """
-    if max_passes is not None and config is None:
-        _warn_loose_kwargs("replace_baselines", ["max_passes"])
     backend = get_backend(config.backend if config is not None else None)
-    resolved = max_passes if max_passes is not None else 10
-    return _replace_with(backend, table, baselines, resolved)
+    return _replace_with(backend, table, baselines, max_passes)
 
 
 def _replace_with(
@@ -835,29 +719,6 @@ def _rows_for(table: ResponseTable, baselines: Sequence[Signature]) -> List[int]
                 word |= 1 << j
         rows[index] = word
     return rows
-
-
-#: Deprecated helpers whose canonical homes are in :mod:`repro.partition`;
-#: importing them still works through the module ``__getattr__`` below.
-_MOVED_HELPERS = {
-    "_partition_indistinguished": "rows_indistinguished",
-    "_indistinguished_with": "indistinguished_after_split",
-}
-
-
-def __getattr__(name: str):
-    if name in _MOVED_HELPERS:
-        canonical = _MOVED_HELPERS[name]
-        warnings.warn(
-            f"repro.dictionaries.samediff.{name} is deprecated; use "
-            f"repro.partition.{canonical} (the consolidated pair math)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        import repro.partition as partition_module
-
-        return getattr(partition_module, canonical)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,8 @@ three shipped backends are registered here:
   the default unless ``REPRO_BACKEND`` says otherwise;
 * ``vector`` — batched word-array scoring (:mod:`repro.kernels.vector`),
   numpy-accelerated when numpy is importable, stdlib ``array`` fallback
-  otherwise.
+  otherwise; the import alone decides, and both paths are
+  byte-identical.
 """
 
 from .base import (

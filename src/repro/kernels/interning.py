@@ -146,28 +146,24 @@ class VectorLayout:
         self.__dict__.update(state)
 
 
-def build_vector_layout(interned: InternedTable, use_numpy=None) -> VectorLayout:
+def build_vector_layout(interned: InternedTable) -> VectorLayout:
     """Lay ``interned`` out as contiguous word arrays (module docstring).
 
-    ``use_numpy`` forces the construction path: ``True``/``False`` pin
-    it, ``None`` (default) uses numpy when importable.  Both paths
-    produce byte-identical arrays — the round-trip property tests in
-    ``tests/kernels/test_vector_layout.py`` hold them together.
+    Uses numpy when it is importable and a pure-Python loop otherwise.
+    Both paths produce byte-identical arrays — the round-trip property
+    tests in ``tests/kernels/test_vector_layout.py`` hold them together.
     """
-    if use_numpy is None:
-        try:
-            import numpy  # noqa: F401
-            use_numpy = True
-        except ImportError:
-            use_numpy = False
+    try:
+        import numpy  # noqa: F401
+    except ImportError:
+        build = _build_layout_python
+    else:
+        build = _build_layout_numpy
     registry = get_default_registry()
     with registry.timer("kernel.vector_pack_seconds").time():
         n, k = interned.n_faults, interned.n_tests
         width = (k + WORD_BITS - 1) // WORD_BITS
-        if use_numpy:
-            layout = _build_layout_numpy(interned, n, k, width)
-        else:
-            layout = _build_layout_python(interned, n, k, width)
+        layout = build(interned, n, k, width)
         registry.counter("kernel.vector_layouts").inc()
     return layout
 

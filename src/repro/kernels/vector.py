@@ -15,14 +15,13 @@ sweep over the flat word-array layout
 * splits reuse the same counts: the winning candidate's column says how
   many members leave each class, so relabelling is one masked scatter.
 
-Numpy drives the sweep when it is importable; otherwise (or when
-``REPRO_VECTOR_FORCE_FALLBACK`` is set, or ``force_fallback=True`` is
-passed) a dependency-free pure-Python path runs the *same algorithm*
-over the stdlib :mod:`array` buffers.  Both paths — and the optional
-within-restart sharded histogram (``REPRO_VECTOR_SHARDS``, see
-:mod:`repro.parallel.shards`) — are byte-identical to ``naive`` and
-``packed``: same baselines, counts, winners and metrics, held together
-by the differential harness in ``tests/kernels``.
+Numpy drives the sweep when it is importable; otherwise a
+dependency-free pure-Python path runs the *same algorithm* over the
+stdlib :mod:`array` buffers.  Which one runs is decided once, when the
+backend instance is built, by whether ``import numpy`` succeeds.  Both
+paths are byte-identical to ``naive`` and ``packed``: same baselines,
+counts, winners and metrics, held together by the differential harness
+in ``tests/kernels``.
 
 Procedure 2 (:meth:`VectorBackend.replace`) delegates to the packed
 implementation: its inner loop is an id-at-a-time scan over one test at
@@ -36,7 +35,6 @@ non-improvements cut off) replicate
 
 from __future__ import annotations
 
-import os
 import time
 from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -45,16 +43,6 @@ from ..partition import pairs_within
 from ..sim.responses import PASS, ResponseTable, Signature
 from .base import Procedure1Run
 from .packed import PackedBackend
-
-#: Set (to any non-empty value) to force the pure-Python fallback even
-#: when numpy is importable.  Read when the backend instance is built.
-FORCE_FALLBACK_ENV = "REPRO_VECTOR_FORCE_FALLBACK"
-
-#: Within-restart candidate-scoring shards (>= 2 enables; numpy mode only).
-SHARDS_ENV = "REPRO_VECTOR_SHARDS"
-
-#: Minimum detected entries in a test before its histogram is sharded.
-SHARD_MIN_ENV = "REPRO_VECTOR_SHARD_MIN"
 
 #: Dense count matrices at or below this many cells always use one
 #: ``bincount``; larger ones fall back to a sparse ``unique`` histogram
@@ -91,37 +79,15 @@ class VectorBackend:
 
     name = "vector"
 
-    def __init__(
-        self,
-        force_fallback: Optional[bool] = None,
-        shards: Optional[int] = None,
-        shard_min_entries: Optional[int] = None,
-    ) -> None:
-        if force_fallback is None:
-            force_fallback = bool(os.environ.get(FORCE_FALLBACK_ENV))
-        self._np = None
-        if not force_fallback:
-            try:
-                import numpy
+    def __init__(self) -> None:
+        try:
+            import numpy
 
-                self._np = numpy
-            except ImportError:
-                self._np = None
+            self._np = numpy
+        except ImportError:
+            self._np = None
         self.uses_numpy = self._np is not None
         self._packed = PackedBackend()
-        self._sharder = None
-        if shards is None:
-            shards = int(os.environ.get(SHARDS_ENV, "0") or 0)
-        if self.uses_numpy and shards and shards > 1:
-            # Imported lazily: repro.parallel reaches back into the
-            # kernel registry, so a module-level import would cycle.
-            from ..parallel.shards import CandidateSharder, default_min_entries
-
-            if shard_min_entries is None:
-                shard_min_entries = default_min_entries()
-            self._sharder = CandidateSharder(
-                shards, min_entries=shard_min_entries
-            )
 
     # ------------------------------------------------------------------
     # preparation
@@ -179,8 +145,6 @@ class VectorBackend:
             live_sizes = np.zeros(0, dtype=np.int64)
         nclasses = 1
 
-        sharder = self._sharder
-
         for j in order:
             ncand = len(sigs[j])
             nlive = live_ids.size
@@ -201,10 +165,7 @@ class VectorBackend:
                 key = dlab * ncand + ds
                 length = (nlive + 1) * ncand
                 if length <= _DENSE_MIN_CELLS or length <= 4 * (hi - lo):
-                    if sharder is not None and sharder.wants(hi - lo):
-                        counts_flat = sharder.counts(key, length)
-                    else:
-                        counts_flat = np.bincount(key, minlength=length)
+                    counts_flat = np.bincount(key, minlength=length)
                     counts = counts_flat[: nlive * ncand].reshape(nlive, ncand)
                     d_per = counts.sum(axis=1)
                     dist_arr = (counts * (live_sizes[:, None] - counts)).sum(

@@ -5,53 +5,21 @@ restarted driver fans them out over worker processes; deterministic
 per-restart seed streams keep ``jobs=N`` byte-identical to the serial
 path.  See ``docs/parallelism.md`` for the seeding model, batch
 semantics and metrics-merge caveats.
-
-:mod:`repro.parallel.shards` shards *within* one restart: the vector
-backend's candidate-scoring histogram folds over contiguous fault-entry
-blocks, byte-identically for any shard count.
-:mod:`repro.parallel.hierarchy` composes the two levels explicitly —
-fault-block shards inside a restart, the restart fold outside — over
-shared read-only layouts (see ``docs/scaling.md``).
 """
 
-from .hierarchy import (
-    FAULT_BLOCKS_ENV,
-    FaultBlockPlan,
-    HierarchicalFold,
-    block_counts,
-    fault_blocks_from_env,
-    fold_block_counts,
-    scores_from_counts,
-    sharded_procedure1,
-    sharded_refine_scores,
-)
 from .scheduler import RestartFold, RestartScheduler, ScheduleOutcome
 from .seeds import derive_restart_seed, restart_order, restart_rng
-from .shards import CandidateSharder, count_block, fold_counts, shard_slices
 from .worker import RestartResult, init_worker, run_restart, run_restart_inline
 
 __all__ = [
-    "CandidateSharder",
-    "FAULT_BLOCKS_ENV",
-    "FaultBlockPlan",
-    "HierarchicalFold",
     "RestartFold",
     "RestartResult",
     "RestartScheduler",
     "ScheduleOutcome",
-    "block_counts",
-    "count_block",
     "derive_restart_seed",
-    "fault_blocks_from_env",
-    "fold_block_counts",
-    "fold_counts",
     "init_worker",
     "restart_order",
     "restart_rng",
     "run_restart",
     "run_restart_inline",
-    "scores_from_counts",
-    "shard_slices",
-    "sharded_procedure1",
-    "sharded_refine_scores",
 ]

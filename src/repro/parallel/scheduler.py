@@ -1,10 +1,11 @@
 """Batched scheduling of Procedure 1 restarts over a process pool.
 
-The restart loop of :func:`~repro.dictionaries.samediff.build_same_different`
-is a sequential fold: restarts arrive in index order, the best result so
-far and a stale counter decide when to stop (``CALLS1`` consecutive
-non-improvements, or the full-dictionary ceiling).  :class:`RestartFold`
-captures exactly that reduction, and both execution strategies drive it:
+The restart loop of :func:`repro.api.build` (in
+:func:`~repro.dictionaries.samediff._build_impl`) is a sequential fold:
+restarts arrive in index order, the best result so far and a stale
+counter decide when to stop (``CALLS1`` consecutive non-improvements, or
+the full-dictionary ceiling).  :class:`RestartFold` captures exactly that
+reduction, and both execution strategies drive it:
 
 * the serial path evaluates restart ``r`` and folds it immediately;
 * :class:`RestartScheduler` speculatively fans restarts out over a

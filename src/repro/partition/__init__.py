@@ -20,8 +20,7 @@ from .core import (
 from .reference import MaterializedPairPartition
 
 #: Historical name, kept as a true alias: ``Partition`` grew into
-#: :class:`FaultPartition` when it moved here from
-#: ``repro.dictionaries.resolution``.
+#: :class:`FaultPartition`.
 Partition = FaultPartition
 
 __all__ = [

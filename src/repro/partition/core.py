@@ -14,8 +14,7 @@ Contents:
 
 * the pair arithmetic (:func:`pairs_within`, :func:`total_pairs`,
   :func:`indistinguished_pairs`, :func:`indistinguished_after_split`,
-  :func:`rows_indistinguished`) previously duplicated between
-  ``dictionaries.resolution`` and ``dictionaries.samediff``;
+  :func:`rows_indistinguished`);
 * the grouping helpers (:func:`partition_by_key`, :func:`refine`);
 * :class:`FaultPartition` — the mutable refinement engine the build
   stack runs on: interned integer class ids, an incrementally maintained
@@ -24,9 +23,8 @@ Contents:
   serialisation (:meth:`FaultPartition.to_doc`) used by the ``RFDC``
   build checkpoints.
 
-``repro.dictionaries.resolution`` remains as a deprecation shim
-re-exporting these names (``Partition`` is an alias of
-:class:`FaultPartition`).
+``repro.dictionaries`` re-exports the pair-count helpers and
+``Partition``, an alias of :class:`FaultPartition`.
 """
 
 from __future__ import annotations
@@ -177,8 +175,8 @@ class FaultPartition:
             moved_set = set(moved)
             # Both halves keep the class's existing member order, so
             # ascending lists stay ascending no matter how ``inside``
-            # was ordered — the invariant the fault-block shards bisect
-            # on (see repro.parallel.hierarchy.block_counts).
+            # was ordered: callers always read a class as a sorted
+            # index list.
             remaining = [i for i in members if i not in moved_set]
             moved = [i for i in members if i in moved_set]
             self.classes[cid] = remaining

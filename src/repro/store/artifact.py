@@ -181,7 +181,7 @@ def semantic_digest(built: BuiltDictionary) -> str:
         ]
     report = None
     if built.report is not None:
-        report = built.report.as_dict(schema=3)
+        report = built.report.as_dict()
         for volatile in (
             "procedure1_seconds",
             "procedure2_seconds",
@@ -243,7 +243,7 @@ def save_artifact(
         header = {
             "kind": built.kind,
             "config": asdict(built.config),
-            "report": built.report.as_dict(schema=3) if built.report else None,
+            "report": built.report.as_dict() if built.report else None,
             "outputs": list(table.outputs),
             "faults": _faults_doc(table.faults),
             "test_inputs": list(table.tests.inputs),

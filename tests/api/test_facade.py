@@ -1,4 +1,4 @@
-"""Tests for the ``repro.api.build`` facade."""
+"""Tests for the ``repro.api`` facade: ``build``, ``serve``, ``serve_daemon``."""
 
 import pytest
 
@@ -107,3 +107,48 @@ class TestConfig:
             build(table, config=DictionaryConfig(calls1=0))
         with pytest.raises(ValueError, match="jobs"):
             build(table, config=DictionaryConfig(jobs=0))
+
+
+class TestServeFacade:
+    def test_config_carries_the_envelope(self):
+        from repro.api import serve
+        from repro.serve import ServeConfig
+
+        server = serve(config=ServeConfig(workers=2))
+        assert server.config.workers == 2
+
+    def test_bare_call_uses_the_default_config(self):
+        from repro.api import serve
+        from repro.serve import ServeConfig
+
+        assert serve().config == ServeConfig()
+
+    def test_loose_kwargs_are_rejected(self):
+        from repro.api import serve
+
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            serve(workers=2)
+
+
+class TestServeDaemonFacade:
+    def test_assembles_a_daemon_from_fields(self):
+        from repro.api import serve_daemon
+        from repro.serve import ServeConfig
+
+        daemon = serve_daemon(
+            "a.rfd", serve_config=ServeConfig(workers=2),
+            port=0, max_inflight=4,
+        )
+        assert daemon.config.max_inflight == 4
+        assert daemon.config.default_artifact == "a.rfd"
+        assert daemon.server.config.workers == 2
+        assert daemon.state == "idle"
+
+    def test_full_config_excludes_the_field_shape(self):
+        from repro.api import serve_daemon
+        from repro.serve.daemon import DaemonConfig
+
+        daemon = serve_daemon(config=DaemonConfig(port=0))
+        assert daemon.config.port == 0
+        with pytest.raises(ValueError, match="full config="):
+            serve_daemon("a.rfd", config=DaemonConfig(port=0))

@@ -1,8 +1,6 @@
-"""Schema-versioned ``as_dict`` exports of the two report types."""
+"""Schema-marked ``as_dict`` exports of the two report types."""
 
 import json
-
-import pytest
 
 from repro.diagnosis.evaluate import CampaignResult
 from repro.dictionaries import BuildReport
@@ -21,45 +19,15 @@ class TestBuildReportSchemas:
     def test_schema_3_is_the_default_and_marked(self):
         data = self._report().as_dict()
         assert data["schema"] == 3
-        assert data == self._report().as_dict(schema=3)
         assert data["classes_after_procedure1"] == 0
         assert data["classes_after_procedure2"] == 0
 
-    def test_schema_2_shim_drops_class_counts(self):
-        report = self._report()
-        legacy = report.as_dict(schema=2)
-        assert legacy["schema"] == 2
-        assert "classes_after_procedure1" not in legacy
-        assert "classes_after_procedure2" not in legacy
-        modern = report.as_dict(schema=3)
-        stripped = {
-            k: v
-            for k, v in modern.items()
-            if k not in ("classes_after_procedure1", "classes_after_procedure2")
-        }
-        stripped["schema"] = 2
-        assert legacy == stripped
-
-    def test_schema_1_shim_is_marker_free(self):
-        report = self._report()
-        legacy = report.as_dict(schema=1)
-        assert "schema" not in legacy
-        modern = report.as_dict(schema=2)
-        assert legacy == {k: v for k, v in modern.items() if k != "schema"}
-
-    def test_derived_counts_present_in_all(self):
-        for schema in (1, 2, 3):
-            data = self._report().as_dict(schema=schema)
-            assert data["indistinguished_procedure1"] == 10 - 7
-            assert data["indistinguished_procedure2"] == 10 - 9
-            assert data["procedure2_improved"] is True
-            json.dumps(data)
-
-    def test_unknown_schema_rejected(self):
-        with pytest.raises(ValueError, match="schema"):
-            self._report().as_dict(schema=4)
-        with pytest.raises(ValueError, match="schema"):
-            self._report().as_dict(schema=0)
+    def test_derived_counts_present(self):
+        data = self._report().as_dict()
+        assert data["indistinguished_procedure1"] == 10 - 7
+        assert data["indistinguished_procedure2"] == 10 - 9
+        assert data["procedure2_improved"] is True
+        json.dumps(data)
 
 
 class TestCampaignResultSchemas:
@@ -80,14 +48,3 @@ class TestCampaignResultSchemas:
         assert data["top1_accuracy"] == 0.75
         assert data["top10_accuracy"] == 1.0
         json.dumps(data)
-
-    def test_schema_1_shim(self):
-        result = self._result()
-        legacy = result.as_dict(schema=1)
-        assert "schema" not in legacy
-        modern = result.as_dict(schema=2)
-        assert legacy == {k: v for k, v in modern.items() if k != "schema"}
-
-    def test_unknown_schema_rejected(self):
-        with pytest.raises(ValueError, match="schema"):
-            self._result().as_dict(schema=9)

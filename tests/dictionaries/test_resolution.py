@@ -35,10 +35,7 @@ class TestRefine:
         assert sorted(map(sorted, refined)) == [[0, 2], [1, 3], [4], [5]]
 
     def test_partition_by_key_preserves_order(self):
-        import pytest
-
-        with pytest.warns(DeprecationWarning, match="repro.partition"):
-            from repro.dictionaries.resolution import partition_by_key
+        from repro.partition import partition_by_key
 
         groups = partition_by_key([3, 1, 4, 1, 5], key=lambda i: i % 2)
         assert groups == [[3, 1, 1, 5], [4]]

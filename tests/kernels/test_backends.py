@@ -17,6 +17,7 @@ from repro.kernels import (
     register_backend,
 )
 from repro.kernels.base import _DESCRIPTIONS, _INSTANCES, _REGISTRY
+from tests.util import numpy_import_blocked
 
 
 class TestRegistry:
@@ -139,11 +140,7 @@ class TestVectorConstruction:
         except ImportError:
             assert not backend.uses_numpy
 
-    def test_force_fallback_flag(self):
-        assert not VectorBackend(force_fallback=True).uses_numpy
-
-    def test_force_fallback_env(self, monkeypatch):
-        from repro.kernels.vector import FORCE_FALLBACK_ENV
-
-        monkeypatch.setenv(FORCE_FALLBACK_ENV, "1")
-        assert not VectorBackend().uses_numpy
+    def test_blocked_numpy_selects_the_python_path(self):
+        with numpy_import_blocked():
+            backend = VectorBackend()
+        assert not backend.uses_numpy

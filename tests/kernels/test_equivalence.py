@@ -4,8 +4,8 @@ Every public kernel primitive must be *byte-identical* across backends —
 not statistically close, not equal-up-to-tie-breaks.  Hypothesis hunts
 for a response table where any primitive (candidate scoring, the full
 Procedure 1 run, pair counting, Procedure 2) disagrees between ``naive``
-and any of: ``packed``, ``vector`` (numpy path), or ``vector`` forced
-onto its pure-Python ``array`` fallback.
+and any of: ``packed``, ``vector`` (numpy path), or ``vector`` built
+with numpy blocked, which runs its pure-Python ``array`` path.
 """
 
 from __future__ import annotations
@@ -16,15 +16,20 @@ from hypothesis import strategies as st
 
 from repro.api import DictionaryConfig, build
 from repro.partition import Partition
-from repro.kernels import VectorBackend, get_backend
+from repro.kernels import get_backend
 from repro.obs import scoped_registry
 from repro.sim import PASS
-from tests.util import distinct_table, fallback_vector_registered, random_table
+from tests.util import (
+    distinct_table,
+    fallback_vector_registered,
+    numpy_free_vector_backend,
+    random_table,
+)
 
 NAIVE = get_backend("naive")
 PACKED = get_backend("packed")
 VECTOR = get_backend("vector")
-VECTOR_FALLBACK = VectorBackend(force_fallback=True)
+VECTOR_FALLBACK = numpy_free_vector_backend()
 
 #: Every backend that must match the reference, differential-test order.
 OTHERS = (PACKED, VECTOR, VECTOR_FALLBACK)

@@ -1,11 +1,10 @@
 """Differential tests for the class-major ``refine_scores`` primitive.
 
-Every backend's ``refine_scores`` must be byte-identical to the naive
-reference — and to the eager ``candidate_distances`` dists it replaces,
-and to the fault-block-sharded fold of :mod:`repro.parallel.hierarchy`
-for any block plan.  Partitions are driven to arbitrary refinement
-depths first, so the equality holds mid-build, not just on the trivial
-one-class state.
+Every backend's ``refine_scores`` — the vector backend both with numpy
+and with numpy blocked — must be byte-identical to the naive reference,
+and to the eager ``candidate_distances`` dists it replaces.  Partitions
+are driven to arbitrary refinement depths first, so the equality holds
+mid-build, not just on the trivial one-class state.
 """
 
 from __future__ import annotations
@@ -15,15 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dictionaries.samediff import _candidate_distances, _refine_scores
-from repro.kernels import VectorBackend, get_backend
-from repro.parallel.hierarchy import FaultBlockPlan, sharded_refine_scores
+from repro.kernels import get_backend
 from repro.partition import FaultPartition
-from tests.util import random_table
+from tests.util import numpy_free_vector_backend, random_table
 
 NAIVE = get_backend("naive")
 PACKED = get_backend("packed")
 VECTOR = get_backend("vector")
-VECTOR_FALLBACK = VectorBackend(force_fallback=True)
+VECTOR_FALLBACK = numpy_free_vector_backend()
 
 BACKENDS = {
     "naive": NAIVE,
@@ -63,25 +61,6 @@ def test_refine_scores_matches_reference_everywhere(
         for name, backend in BACKENDS.items():
             got = list(backend.refine_scores(table, j, partition))
             assert got == reference, f"{name} disagrees on test {j}"
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=10**6),
-    n_faults=st.integers(min_value=2, max_value=14),
-    n_tests=st.integers(min_value=1, max_value=5),
-    depth=st.integers(min_value=0, max_value=4),
-    n_blocks=st.sampled_from([1, 2, 3, 5, 8]),
-)
-def test_sharded_fold_matches_reference(seed, n_faults, n_tests, depth, n_blocks):
-    """Any fault-block plan folds to the exact unsharded dist vector."""
-    table = random_table(n_faults, n_tests, 3, seed=seed, density=0.5)
-    partition = _partition_at_depth(table, depth)
-    plan = FaultBlockPlan(table.n_faults, n_blocks)
-    for j in range(n_tests):
-        assert sharded_refine_scores(table, j, partition, plan) == _refine_scores(
-            table, j, partition
-        )
 
 
 @pytest.mark.parametrize("name", sorted(BACKENDS))

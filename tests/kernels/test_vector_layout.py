@@ -2,8 +2,8 @@
 
 The vector backend trusts :class:`~repro.kernels.interning.VectorLayout`
 to be a lossless re-expression of the interned table.  Hypothesis builds
-random tables and asserts, for **both** construction paths (numpy and
-pure-Python ``array``), that
+random tables and asserts, for **both** construction paths (numpy, and
+pure-Python ``array`` — reached by blocking ``import numpy``), that
 
 * the two paths produce byte-identical arrays,
 * unpacking recovers ``cols`` and ``det_words`` exactly,
@@ -23,15 +23,6 @@ from hypothesis import strategies as st
 from repro.kernels import VectorBackend, build_vector_layout, unpack_vector_layout
 from repro.kernels.interning import WORD_BITS
 from tests.util import numpy_import_blocked, random_table
-
-
-def _numpy_available():
-    try:
-        import numpy  # noqa: F401
-
-        return True
-    except ImportError:
-        return False
 
 
 @st.composite
@@ -61,7 +52,8 @@ def _layout_fields(layout):
 @given(table=tables())
 def test_pack_unpack_round_trips_exactly(table):
     interned = table.interned
-    layout = build_vector_layout(interned, use_numpy=False)
+    with numpy_import_blocked():
+        layout = build_vector_layout(interned)
 
     # Dimensions and invariants.
     k, n = interned.n_tests, interned.n_faults
@@ -93,11 +85,11 @@ def test_pack_unpack_round_trips_exactly(table):
 @settings(max_examples=50, deadline=None)
 @given(table=tables())
 def test_numpy_and_python_layouts_are_byte_identical(table):
-    if not _numpy_available():
-        pytest.skip("numpy not importable; single-path environment")
+    pytest.importorskip("numpy")
     interned = table.interned
-    via_python = build_vector_layout(interned, use_numpy=False)
-    via_numpy = build_vector_layout(interned, use_numpy=True)
+    with numpy_import_blocked():
+        via_python = build_vector_layout(interned)
+    via_numpy = build_vector_layout(interned)
     assert _layout_fields(via_numpy) == _layout_fields(via_python)
     # And bytes, not just values: the buffers feed zero-copy numpy views.
     for field in ("col_words", "det_offsets", "det_index", "det_sid",
@@ -122,7 +114,7 @@ def test_layout_pickles_with_table_and_sheds_views(table):
 
 def test_blocked_numpy_builds_the_same_layout_and_backend_falls_back():
     table = random_table(12, 6, 2, seed=9, density=0.4)
-    reference = build_vector_layout(table.interned, use_numpy=False)
+    reference = build_vector_layout(table.interned)
     with numpy_import_blocked():
         auto = build_vector_layout(table.interned)  # auto-detect: no numpy
         backend = VectorBackend()  # auto-detect: must fall back
@@ -141,7 +133,8 @@ def test_word_boundary_tables_round_trip():
     """n_tests at and across the 64-bit word boundary."""
     for k in (63, 64, 65):
         table = random_table(5, k, 2, seed=k, density=0.5)
-        layout = build_vector_layout(table.interned, use_numpy=False)
+        with numpy_import_blocked():
+            layout = build_vector_layout(table.interned)
         assert layout.det_width == (k + 63) // 64
         cols, det_words = unpack_vector_layout(layout)
         assert cols == table.interned.cols

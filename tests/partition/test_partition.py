@@ -67,8 +67,8 @@ class TestFaultPartition:
 
     def test_split_keeps_member_lists_ascending(self):
         # Even when ``inside`` arrives unsorted (the fault-free
-        # candidate's member list is concatenated per group, not sorted)
-        # — the fault-block shards bisect on ascending member lists.
+        # candidate's member list is concatenated per group, not sorted),
+        # every class stays a sorted index list.
         partition = FaultPartition(range(8))
         partition.split([6, 1, 5])
         partition.split([5, 2])

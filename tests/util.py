@@ -24,9 +24,8 @@ def build_sd(
 ):
     """Build a same/different dictionary through the public facade.
 
-    Returns ``(dictionary, report)`` like the legacy entry point did, so
-    tests keep their two-value unpacking while exercising
-    :func:`repro.api.build` (the loose-kwarg shapes now warn).
+    Returns ``(dictionary, report)``, so tests keep a two-value
+    unpacking while exercising :func:`repro.api.build`.
     """
     built = build(
         table,
@@ -109,9 +108,21 @@ def numpy_import_blocked():
             del sys.modules["numpy"]
 
 
+def numpy_free_vector_backend():
+    """A ``VectorBackend`` constructed while ``import numpy`` fails.
+
+    The instance runs the pure-Python word-array path for its whole
+    life, exactly as it would on a numpy-less interpreter.
+    """
+    from repro.kernels.vector import VectorBackend
+
+    with numpy_import_blocked():
+        return VectorBackend()
+
+
 @contextmanager
 def fallback_vector_registered():
-    """Re-register ``vector`` as its forced-fallback construction.
+    """Re-register ``vector`` as an instance built with numpy blocked.
 
     Inside the block, ``get_backend("vector")`` — and therefore builds
     with ``backend="vector"`` — run the pure-Python word-array path even
@@ -122,11 +133,8 @@ def fallback_vector_registered():
     from repro.kernels.vector import VectorBackend
 
     description = _DESCRIPTIONS.get("vector", "")
-    register_backend(
-        "vector",
-        lambda: VectorBackend(force_fallback=True),
-        description,
-    )
+    fallback = numpy_free_vector_backend()
+    register_backend("vector", lambda: fallback, description)
     try:
         yield
     finally:

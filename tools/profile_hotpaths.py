@@ -9,9 +9,10 @@ guess.  This harness runs one representative workload per area —
 * ``parallel``  — the restart scheduler with ``jobs=2`` (worker-process
                   internals run out-of-process and are profiled via the
                   ``kernels``/``build`` areas instead),
-* ``partition`` — the partition-refinement path: class-major
-                  ``refine_scores`` sweeps plus a fault-block-sharded
-                  Procedure 1 restart on an ITC-99-class proxy table,
+* ``partition`` — the in-place refinement loop: Procedure 1 over a
+                  caller-seeded ``FaultPartition`` (class-major
+                  ``refine_scores`` plus ``split`` deltas) for three
+                  restart orders on an ITC-99-class proxy table,
 * ``atpg``      — a cold diagnostic test generation on p208 (seed 0):
                   detection ATPG, random splitting and the SAT miter
                   phase, from a freshly loaded netlist,
@@ -103,19 +104,20 @@ def prepare_parallel():
 
 def prepare_partition():
     from repro.circuit.generate import proxy_response_table
-    from repro.parallel.hierarchy import FaultBlockPlan, sharded_procedure1
+    from repro.dictionaries import select_baselines
     from repro.parallel.seeds import restart_order
+    from repro.partition import FaultPartition
 
     table = proxy_response_table(
         "b14p", n_faults=PARTITION_FAULTS, n_tests=PARTITION_TESTS
     )
-    table.interned
-    plan = FaultBlockPlan(table.n_faults, 4)
     orders = [restart_order(0, r, table.n_tests) for r in range(3)]
 
     def run():
         for order in orders:
-            sharded_procedure1(table, order, 10, plan)
+            select_baselines(
+                table, order, partition=FaultPartition(range(table.n_faults))
+            )
 
     return run
 
