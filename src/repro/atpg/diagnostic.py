@@ -13,9 +13,10 @@ rows under the tests so far) and refines it in three stages:
    indistinguishability is transitive, so only adjacent pairs of a class
    ever need to be tried.
 
-Every added test is simulated once against all target faults and the
-partition is split in place, so no full dictionary rebuild happens in the
-loop.
+Every added test is simulated once against the faults of the classes
+that can still split (those with more than one member; a singleton's
+signature is never read) and the partition is split in place, so no full
+dictionary rebuild happens in the loop.
 """
 
 from __future__ import annotations
@@ -66,6 +67,19 @@ def response_classes(
     return sorted(classes.values(), key=lambda members: members[0])
 
 
+def _live_responses(
+    netlist: Netlist,
+    faults: Sequence[Fault],
+    partition: List[List[int]],
+    tests: TestSet,
+) -> "tuple[ResponseTable, Dict[int, int]]":
+    """Responses to ``tests`` of the faults in ``partition``'s multi-fault
+    classes, and the map from a fault index to its row in that table."""
+    live = [index for members in partition if len(members) > 1 for index in members]
+    table = ResponseTable.build(netlist, [faults[index] for index in live], tests)
+    return table, {index: row for row, index in enumerate(live)}
+
+
 def _split_by_new_test(
     netlist: Netlist,
     faults: Sequence[Fault],
@@ -74,7 +88,7 @@ def _split_by_new_test(
 ) -> List[List[int]]:
     """Refine ``partition`` by the faults' signatures under one new test."""
     single = TestSet(netlist.inputs, [vector])
-    table = ResponseTable.build(netlist, faults, single)
+    table, row = _live_responses(netlist, faults, partition, single)
     refined: List[List[int]] = []
     for members in partition:
         if len(members) == 1:
@@ -82,7 +96,7 @@ def _split_by_new_test(
             continue
         groups: Dict[tuple, List[int]] = {}
         for index in members:
-            groups.setdefault(table.signature(index, 0), []).append(index)
+            groups.setdefault(table.signature(row[index], 0), []).append(index)
         refined.extend(groups.values())
     return refined
 
@@ -127,7 +141,7 @@ def generate_diagnostic_tests(
             batch = TestSet.random(
                 netlist.inputs, random_batch, seed=rng.getrandbits(32)
             )
-            table = ResponseTable.build(netlist, targets, batch)
+            table, row = _live_responses(netlist, targets, partition, batch)
             progressed = False
             for j in range(len(batch)):
                 refined: List[List[int]] = []
@@ -138,7 +152,7 @@ def generate_diagnostic_tests(
                         continue
                     groups: Dict[tuple, List[int]] = {}
                     for index in members:
-                        groups.setdefault(table.signature(index, j), []).append(index)
+                        groups.setdefault(table.signature(row[index], j), []).append(index)
                     if len(groups) > 1:
                         split_here = True
                     refined.extend(groups.values())

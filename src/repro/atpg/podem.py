@@ -7,6 +7,16 @@ backtracks when the fault can no longer be activated or no X-path remains
 from the D-frontier to an output.  Within the backtrack limit the algorithm
 is complete: ``UNTESTABLE`` results are proofs of combinational redundancy.
 
+Implication is event-driven.  One full dual pass builds each fault's
+initial state (every input X); after that a decision propagates only from
+the input it set, gate by gate in topological order, stopping wherever
+neither machine's value changes.  Every overwritten value goes on an undo
+trail, and each decision remembers the trail length before it, so a
+backtrack pops the trail back to the flipped decision's mark instead of
+re-simulating.  Only nets in the fault's fan-out cone can carry a
+difference, so the D-frontier scan and the detection check look at the
+cone alone.
+
 Decisions are guided by SCOAP controllability (easiest input for a
 controlling objective, hardest for an all-inputs objective); pass
 ``randomize=True`` to scramble those choices, which is how the n-detection
@@ -18,6 +28,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..circuit.gates import GateType
@@ -106,22 +117,31 @@ class Podem:
     def _generate(self, fault: Fault, randomize: bool) -> PodemResult:
         site, pin_sink = self._fault_site(fault)
         cone = self._cone_positions(site if pin_sink is None else pin_sink)
+        cone_order = sorted(cone)
+        cone_outputs = [o for o in self._output_positions if o in cone]
+        good, faulty = self._imply({}, fault, site, pin_sink, cone)
+        # Undo trail of (position, old good, old faulty) records.
+        trail: List[Tuple[int, int, int]] = []
 
-        assignment: Dict[int, int] = {}
-        # Decision stack entries: (pi position, value, already flipped).
+        def assign(pi: int, value: int) -> None:
+            self._assign(good, faulty, trail, pi, value, fault, site, pin_sink, cone)
+
+        # Decision stack entries: [pi position, value, already flipped,
+        # trail length before the decision was assigned].
         stack: List[List[int]] = []
         backtracks = 0
 
         while True:
-            good, faulty = self._imply(assignment, fault, site, pin_sink, cone)
             if any(
                 good[o] != X and faulty[o] != X and good[o] != faulty[o]
-                for o in self._output_positions
+                for o in cone_outputs
             ):
-                named = {self._names[pi]: v for pi, v in assignment.items()}
+                named = {self._names[pi]: v for pi, v, _, _ in stack}
                 return PodemResult(Status.DETECTED, fault, named, backtracks)
 
-            objective = self._objective(fault, site, pin_sink, good, faulty)
+            objective = self._objective(
+                fault, site, pin_sink, good, faulty, cone_order
+            )
             decision = None
             if objective is not None:
                 decision = self._backtrace(objective, good, faulty, randomize)
@@ -131,17 +151,18 @@ class Podem:
                 if backtracks > self.backtrack_limit:
                     return PodemResult(Status.ABORTED, fault, None, backtracks)
                 while stack and stack[-1][2]:
-                    pi, _, _ = stack.pop()
-                    del assignment[pi]
+                    stack.pop()
                 if not stack:
                     return PodemResult(Status.UNTESTABLE, fault, None, backtracks)
-                stack[-1][1] ^= 1
-                stack[-1][2] = 1
-                assignment[stack[-1][0]] = stack[-1][1]
+                top = stack[-1]
+                self._undo(good, faulty, trail, top[3])
+                top[1] ^= 1
+                top[2] = 1
+                assign(top[0], top[1])
             else:
                 pi, value = decision
-                stack.append([pi, value, 0])
-                assignment[pi] = value
+                stack.append([pi, value, 0, len(trail)])
+                assign(pi, value)
 
     def fill(self, result: PodemResult, rng: Optional[random.Random] = None) -> Dict[str, int]:
         """Complete a detected result's assignment into a full input vector."""
@@ -193,6 +214,15 @@ class Podem:
         pin_sink: Optional[int],
         cone: Set[int],
     ) -> Tuple[List[int], List[int]]:
+        """Good and faulty values of every net under ``assignment``, in one pass.
+
+        The search calls this once per fault, on the empty assignment, to
+        build the initial state that :meth:`_assign` then updates; it is
+        also the oracle the incremental state is tested against.  Fault
+        rules: a stem fault's site keeps its stuck value (a primary input
+        included); a pin fault's stuck value is seen only by the sink gate,
+        whose cone excludes the site; outside the cone faulty equals good.
+        """
         size = len(self._names)
         good = [X] * size
         faulty = [X] * size
@@ -221,6 +251,70 @@ class Podem:
                 faulty[i] = evaluate3(kind, fanin_faulty)
         return good, faulty
 
+    def _assign(
+        self,
+        good: List[int],
+        faulty: List[int],
+        trail: List[Tuple[int, int, int]],
+        pi: int,
+        value: int,
+        fault: Fault,
+        site: int,
+        pin_sink: Optional[int],
+        cone: Set[int],
+    ) -> None:
+        """Set input ``pi`` to ``value`` and propagate the change forward.
+
+        Gates are evaluated from a heap of topological positions, so each
+        is evaluated once, after all its changed fan-ins have settled; the
+        event stops at a gate whose good and faulty values both stay put.
+        Every overwritten value is pushed on ``trail``.  The fault rules are
+        :meth:`_imply`'s, so the result equals a full pass over the new
+        assignment.
+        """
+        stuck = fault.stuck_at
+        trail.append((pi, good[pi], faulty[pi]))
+        good[pi] = value
+        if pin_sink is not None or pi != site:
+            faulty[pi] = value
+        kinds, fanin, fanout = self._kinds, self._fanin, self._fanout
+        queued = set(fanout[pi])
+        heap = sorted(queued)
+        while heap:
+            i = heappop(heap)
+            kind = kinds[i]
+            g = evaluate3(kind, [good[j] for j in fanin[i]])
+            if i not in cone:
+                f = g
+            elif i == site and pin_sink is None:
+                f = stuck
+            elif i == pin_sink:
+                f = evaluate3(kind, [stuck if j == site else faulty[j] for j in fanin[i]])
+            else:
+                f = evaluate3(kind, [faulty[j] for j in fanin[i]])
+            if g == good[i] and f == faulty[i]:
+                continue
+            trail.append((i, good[i], faulty[i]))
+            good[i] = g
+            faulty[i] = f
+            for successor in fanout[i]:
+                if successor not in queued:
+                    queued.add(successor)
+                    heappush(heap, successor)
+
+    @staticmethod
+    def _undo(
+        good: List[int],
+        faulty: List[int],
+        trail: List[Tuple[int, int, int]],
+        mark: int,
+    ) -> None:
+        """Pop ``trail`` back to length ``mark``, restoring what it overwrote."""
+        while len(trail) > mark:
+            i, g, f = trail.pop()
+            good[i] = g
+            faulty[i] = f
+
     # ------------------------------------------------------------------
     # objective selection
     # ------------------------------------------------------------------
@@ -231,6 +325,7 @@ class Podem:
         pin_sink: Optional[int],
         good: List[int],
         faulty: List[int],
+        cone_order: Sequence[int],
     ) -> Optional[Tuple[int, int]]:
         """Next (net position, value) goal, or None when the state is a dead end."""
         desired = 1 - fault.stuck_at
@@ -238,7 +333,7 @@ class Podem:
             return site, desired
         if good[site] != desired:
             return None  # activation impossible under current assignment
-        frontier = self._d_frontier(good, faulty)
+        frontier = self._d_frontier(good, faulty, cone_order)
         if (
             pin_sink is not None
             and (good[pin_sink] == X or faulty[pin_sink] == X)
@@ -270,9 +365,18 @@ class Podem:
                 return easiest, noncontrolling
         return None
 
-    def _d_frontier(self, good: List[int], faulty: List[int]) -> List[int]:
+    def _d_frontier(
+        self, good: List[int], faulty: List[int], cone_order: Sequence[int]
+    ) -> List[int]:
+        """Gates, ascending, with an X output and a known-difference fan-in.
+
+        Only cone nets can differ, and the cone is closed under fan-out, so
+        scanning ``cone_order`` (the cone's positions, ascending) finds the
+        same gates in the same order as a scan of the whole netlist.
+        """
         frontier = []
-        for i, kind in enumerate(self._kinds):
+        for i in cone_order:
+            kind = self._kinds[i]
             if kind is GateType.INPUT or (good[i] != X and faulty[i] != X):
                 continue
             for j in self._fanin[i]:

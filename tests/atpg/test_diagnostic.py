@@ -1,6 +1,8 @@
 """Tests for diagnostic test set generation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.atpg import generate_diagnostic_tests, response_classes
 from repro.circuit import full_scan, generate_netlist
@@ -9,17 +11,21 @@ from repro.sim import ResponseTable, TestSet
 from tests.conftest import tiny_spec
 
 
+def assert_exhaustive_resolution(netlist, faults, seed):
+    """Pairs left together must be exactly the exhaustively equivalent ones."""
+    tests, report = generate_diagnostic_tests(netlist, faults, seed=seed)
+    assert not report.aborted_pairs
+    achieved = response_classes(netlist, faults, tests)
+    exhaustive = response_classes(
+        netlist, faults, TestSet.exhaustive(netlist.inputs)
+    )
+    key = lambda classes: sorted(tuple(sorted(c)) for c in classes)
+    assert key(achieved) == key(exhaustive)
+
+
 class TestS27:
     def test_reaches_exhaustive_resolution(self, s27_scan, s27_faults):
-        """Pairs left together must be exactly the exhaustively equivalent ones."""
-        tests, report = generate_diagnostic_tests(s27_scan, s27_faults, seed=1)
-        assert not report.aborted_pairs
-        achieved = response_classes(s27_scan, s27_faults, tests)
-        exhaustive = response_classes(
-            s27_scan, s27_faults, TestSet.exhaustive(s27_scan.inputs)
-        )
-        key = lambda classes: sorted(tuple(sorted(c)) for c in classes)
-        assert key(achieved) == key(exhaustive)
+        assert_exhaustive_resolution(s27_scan, s27_faults, seed=1)
 
     def test_equivalent_pairs_reported(self, s27_scan, s27_faults):
         _, report = generate_diagnostic_tests(s27_scan, s27_faults, seed=1)
@@ -31,6 +37,16 @@ class TestS27:
 
 
 class TestRandomCircuits:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        circuit_seed=st.integers(min_value=0, max_value=10_000),
+        gates=st.integers(min_value=6, max_value=30),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_reaches_exhaustive_resolution(self, circuit_seed, gates, seed):
+        netlist, _ = full_scan(generate_netlist(tiny_spec(circuit_seed, gates=gates)))
+        assert_exhaustive_resolution(netlist, collapse(netlist), seed)
+
     @pytest.mark.parametrize("seed", range(2))
     def test_only_settled_pairs_remain(self, seed):
         netlist, _ = full_scan(generate_netlist(tiny_spec(seed + 400, gates=25)))

@@ -6,6 +6,8 @@ and every UNTESTABLE claim must match exhaustive undetectability.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.atpg import Podem, Status
 from repro.circuit import GateType, from_gates, full_scan, generate_netlist
@@ -123,3 +125,62 @@ class TestMechanics:
         engine = Podem(c17)
         result = engine.generate(Fault("3", 0, input_of="10"))
         assert result.detected
+
+
+@st.composite
+def implication_walks(draw):
+    """A random full-scan circuit, a stem or pin fault on it, and a walk
+    of steps: ``("assign", k, value)`` sets the ``k``-th still-free input
+    (modulo their number), ``("undo", k)`` pops back to before the ``k``-th
+    live decision (modulo their number plus one)."""
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    gates = draw(st.integers(min_value=6, max_value=30))
+    netlist, _ = full_scan(generate_netlist(tiny_spec(seed, gates=gates)))
+    stem = draw(st.booleans())
+    faults = [f for f in all_faults(netlist) if f.is_stem == stem]
+    if not faults:
+        faults = all_faults(netlist)
+    fault = draw(st.sampled_from(faults))
+    step = st.one_of(
+        st.tuples(st.just("assign"), st.integers(0, 63), st.integers(0, 1)),
+        st.tuples(st.just("undo"), st.integers(0, 63)),
+    )
+    return netlist, fault, draw(st.lists(step, max_size=24))
+
+
+class TestIncrementalImplication:
+    @settings(max_examples=200, deadline=None)
+    @given(case=implication_walks())
+    def test_incremental_state_equals_full_pass(self, case):
+        """After every assignment and every undo to a decision's mark, the
+        event-driven good/faulty arrays equal a full ``_imply`` pass over
+        the current assignment."""
+        netlist, fault, steps = case
+        engine = Podem(netlist)
+        site, pin_sink = engine._fault_site(fault)
+        cone = engine._cone_positions(site if pin_sink is None else pin_sink)
+        good, faulty = engine._imply({}, fault, site, pin_sink, cone)
+        trail = []
+        decisions = []  # (pi position, trail mark before it)
+        assignment = {}
+        for step in steps:
+            if step[0] == "assign":
+                free = [pi for pi in engine._pi_positions if pi not in assignment]
+                if not free:
+                    continue
+                pi = free[step[1] % len(free)]
+                decisions.append((pi, len(trail)))
+                assignment[pi] = step[2]
+                engine._assign(
+                    good, faulty, trail, pi, step[2], fault, site, pin_sink, cone
+                )
+            else:
+                depth = step[1] % (len(decisions) + 1)
+                if depth == len(decisions):
+                    continue
+                engine._undo(good, faulty, trail, decisions[depth][1])
+                for pi, _ in decisions[depth:]:
+                    del assignment[pi]
+                del decisions[depth:]
+            expected = engine._imply(assignment, fault, site, pin_sink, cone)
+            assert (good, faulty) == expected, (str(fault), step)
