@@ -2,7 +2,7 @@
 
 The build side packs a dictionary into one artifact file; the serve side
 — which needs no circuit files, ATPG or simulator — answers a whole
-batch of failing-chip requests through `repro.serve()`, including a
+batch of failing-chip requests through `repro.api.serve()`, including a
 degraded request and an incremental multi-observation session.  See
 docs/serving.md for the request format and reason codes.
 
@@ -17,6 +17,7 @@ from pathlib import Path
 
 import repro
 from repro import DictionaryConfig, build
+from repro.api import serve
 from repro.diagnosis import observe_fault
 from repro.serve import ServeConfig
 from repro.store import save_artifact
@@ -41,7 +42,7 @@ def main() -> None:
     chip_two = observe_fault(netlist, tests, faults[7])
 
     # ---- serve side: one batch, mixed request flavours ----------------
-    server = repro.serve(artifact, config=ServeConfig(deadline_ms=500, workers=2))
+    server = serve(artifact, config=ServeConfig(deadline_ms=500, workers=2))
     requests = [
         {"id": "chip-1", "observed": [list(sig) for sig in chip_one]},
         {"id": "chip-2", "observed": [list(sig) for sig in chip_two]},

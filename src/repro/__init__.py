@@ -24,7 +24,7 @@ Quickstart (the public construction surface is :mod:`repro.api`)::
           passfail.dictionary.indistinguished_pairs())
 """
 
-from .api import BuiltDictionary, DictionaryConfig, build, serve, serve_daemon
+from .api import BuiltDictionary, DictionaryConfig, build, serve_daemon
 from .circuit import (
     GateType,
     GeneratorSpec,
@@ -101,7 +101,6 @@ __all__ = [
     "run_table6",
     "scoped_registry",
     "scoped_tracer",
-    "serve",
     "serve_daemon",
     "simulate",
     "table6_row",

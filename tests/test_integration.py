@@ -121,6 +121,25 @@ class TestEmbeddedCircuitPipeline:
         for name in repro.__all__:
             assert getattr(repro, name) is not None, name
 
+    def test_public_names_are_their_modules_objects(self):
+        """Each name in repro.__all__ is the very object the module it is
+        imported from exports — not a same-named subpackage that a later
+        import bound over it."""
+        import ast
+        import importlib
+        import inspect
+
+        import repro
+
+        origin = {}
+        for node in ast.parse(inspect.getsource(repro)).body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    origin[alias.asname or alias.name] = node.module
+        for name in repro.__all__:
+            module = importlib.import_module(f"repro.{origin[name]}")
+            assert getattr(repro, name) is getattr(module, name), name
+
     def test_subpackage_api_surfaces(self):
         import repro.atpg
         import repro.circuit
