@@ -19,9 +19,7 @@ class PassFailDictionary(FaultDictionary):
 
     def __init__(self, table: ResponseTable) -> None:
         super().__init__(table)
-        self._rows: List[int] = [
-            table.detection_word(index) for index in range(table.n_faults)
-        ]
+        self._rows: List[int] = table.interned.det_words
 
     @property
     def kind(self) -> str:

@@ -70,16 +70,7 @@ class SameDifferentDictionary(FaultDictionary):
                 f"{len(baselines)} baselines for {table.n_tests} tests"
             )
         self.baselines: Tuple[Signature, ...] = tuple(tuple(b) for b in baselines)
-        self._rows: List[int] = [
-            self._encode_row(index) for index in range(table.n_faults)
-        ]
-
-    def _encode_row(self, fault_index: int) -> int:
-        word = 0
-        for j, baseline in enumerate(self.baselines):
-            if self.table.signature(fault_index, j) != baseline:
-                word |= 1 << j
-        return word
+        self._rows: List[int] = _rows_under(table, self.baselines)
 
     @property
     def kind(self) -> str:
@@ -578,11 +569,21 @@ def _partition_under(
     return partition
 
 
+def _rows_under(table: ResponseTable, baselines: Sequence[Signature]) -> List[int]:
+    """Same/different rows under ``baselines``, read off the interned columns.
+
+    A baseline outside ``Z_j`` matches no fault: it sets bit ``j`` of
+    every row.
+    """
+    interned = table.interned
+    return interned.rows(
+        [interned.sig_ids[j].get(tuple(b)) for j, b in enumerate(baselines)]
+    )
+
+
 def _classes_under(table: ResponseTable, baselines: Sequence[Signature]) -> int:
     """Partition-class count (distinct rows) under ``baselines``."""
-    if table.n_faults == 0:
-        return 0
-    return _partition_under(table, baselines).n_classes
+    return len(set(_rows_under(table, baselines)))
 
 
 def _full_dictionary_distinguished(table: ResponseTable) -> int:

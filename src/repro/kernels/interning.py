@@ -15,6 +15,11 @@ every signature with a small integer id *per test column*:
   ``j`` set when test ``j`` detects it) — the uint64-style word layer the
   packed kernels popcount and mask against.
 
+Dictionary rows are read off the columns one column at a time
+(:meth:`InternedTable.rows`): the same/different row of every fault
+under a baseline id per test, with ``det_words`` as the all-PASS special
+case.
+
 Everything is plain lists/dicts/ints, so an interned table pickles with
 its :class:`ResponseTable` and ships to restart worker processes as-is.
 Interning time lands in the ``kernel.pack_seconds`` timer.
@@ -44,7 +49,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from itertools import repeat
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs import get_default_registry
 from ..sim.responses import PASS, ResponseTable, Signature
@@ -72,6 +78,43 @@ class InternedTable:
     def n_candidates(self, test_index: int) -> int:
         """``|Z_j|``: the fault-free response plus the distinct failing ones."""
         return len(self.sigs[test_index])
+
+    @classmethod
+    def from_columns(
+        cls, n_faults: int, cols: List[List[int]], sigs: List[List[Signature]]
+    ) -> "InternedTable":
+        """The view of id columns and their candidate sets alone: ``sig_ids``
+        and ``det_words`` are derived from them."""
+        table = cls(
+            n_faults,
+            len(cols),
+            cols,
+            sigs,
+            [{sig: sid for sid, sig in enumerate(sigs_j)} for sigs_j in sigs],
+            [],
+        )
+        table.det_words = table.rows([0] * len(cols))
+        return table
+
+    def rows(self, baseline_ids: Sequence[Optional[int]]) -> List[int]:
+        """Per fault: bit ``j`` set when ``cols[j][i] != baseline_ids[j]``.
+
+        These are the same/different rows under one baseline id per test;
+        ``rows([0] * n_tests) == det_words``.  A ``None`` id (a baseline
+        outside ``Z_j``) sets bit ``j`` for every fault.  Each column
+        becomes one ``'0'``/``'1'`` string through an id -> flag table;
+        the strings are then read across, one fault at a time, into an
+        int row — no Python-level step per (fault, test) cell.
+        """
+        if not self.cols:
+            return [0] * self.n_faults
+        planes = []
+        for j in range(self.n_tests - 1, -1, -1):  # test 0 is the lowest bit
+            flags = ["1"] * len(self.sigs[j])
+            if baseline_ids[j] is not None:
+                flags[baseline_ids[j]] = "0"
+            planes.append("".join(map(flags.__getitem__, self.cols[j])))
+        return list(map(int, map("".join, zip(*planes)), repeat(2)))
 
     @property
     def vector(self) -> "VectorLayout":

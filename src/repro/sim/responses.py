@@ -118,6 +118,10 @@ class ResponseTable:
             word |= 1 << j
         return word
 
+    def failing_items(self, fault_index: int) -> List[Tuple[int, Signature]]:
+        """``(test, signature)`` of every test that detects the fault, in test order."""
+        return sorted(self._failing[fault_index].items())
+
     def full_row(self, fault_index: int) -> Tuple[Signature, ...]:
         """All signatures of one fault in test order (the full-dictionary row)."""
         row = self._failing[fault_index]

@@ -21,11 +21,22 @@ File layout (all integers big-endian)::
 The header carries the catalogue data (outputs, faults, test vectors,
 fault-free output words, the per-test distinct failing signatures, the
 baseline ids, config and build report); the payload packs the interned
-signature-id columns — ``ceil(log2 |Z_j|)`` bits per (fault, test) — with
-the :class:`~repro.dictionaries.storage.BitWriter` machinery.  Everything
-is JSON + packed integers: loading never unpickles anything, and any
-truncation or bit flip fails the body checksum with a strict
-:class:`ArtifactError` subclass instead of yielding garbage.
+signature-id columns — ``ceil(log2 |Z_j|)`` bits per (fault, test),
+column after column, LSB-first: the bit order of
+:class:`~repro.dictionaries.storage.BitWriter`.  Everything is JSON +
+packed integers: loading never unpickles anything, and any truncation or
+bit flip fails the body checksum with a strict :class:`ArtifactError`
+subclass instead of yielding garbage.
+
+Both directions work one column at a time, not one (fault, test) cell
+at a time in Python.  :func:`pack_columns` turns a column into one
+binary-digit string and so one integer; :func:`unpack_columns` reads
+each column back from its own byte range, one bit position of every id
+at a time.  The loader then derives ``det_words``, the per-fault
+``failing`` dicts and the dictionary rows from those columns in
+per-column passes; only the dicts take a Python step, one per detected
+entry.  The bytes are the ones the earlier per-cell
+``BitWriter`` loop wrote, so the format (version 1) is unchanged.
 
 The *content hash* identifies the build inputs, not the file bytes: it is
 the cache key of :class:`~repro.store.cache.BuildCache` (see
@@ -37,9 +48,12 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+import sys
+from array import array
 from dataclasses import asdict, fields
+from itertools import compress
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..api import BuiltDictionary, DictionaryConfig, KINDS
 from ..circuit.bench import dumps as bench_dumps
@@ -47,7 +61,6 @@ from ..circuit.netlist import Netlist
 from ..dictionaries.full import FullDictionary
 from ..dictionaries.passfail import PassFailDictionary
 from ..dictionaries.samediff import BuildReport, SameDifferentDictionary
-from ..dictionaries.storage import BitWriter
 from ..faults.model import Fault
 from ..kernels.interning import InternedTable
 from ..obs import get_default_registry
@@ -141,14 +154,9 @@ def table_content_hash(
     entry paths hash different inputs and never alias each other's cache
     entries.
     """
-    responses = [
-        [
-            [j, list(sig)]
-            for j in range(table.n_tests)
-            if (sig := table.signature(i, j)) != PASS
-        ]
-        for i in range(table.n_faults)
-    ]
+    # ``(test, signature)`` pairs encode as the ``[j, [outputs]]`` lists
+    # this hash has always covered.
+    responses = [table.failing_items(i) for i in range(table.n_faults)]
     doc = {
         "outputs": list(table.outputs),
         "faults": _faults_doc(table.faults),
@@ -200,6 +208,95 @@ def semantic_digest(built: BuiltDictionary) -> str:
 
 
 # ----------------------------------------------------------------------
+# the payload: bit-packed id columns
+# ----------------------------------------------------------------------
+#: Array typecode per id lane size in bytes (unsigned, native order).
+_LANE_CODES = {array(code).itemsize: code for code in "QLIHB"}
+#: ASCII binary digits -> the bit values 0 and 1.
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _widths(sigs: Sequence[Sequence[Signature]]) -> List[int]:
+    """Bits per id of each column: ``ceil(log2 |Z_j|)``, 0 when ``|Z_j| == 1``."""
+    return [(len(sigs_j) - 1).bit_length() for sigs_j in sigs]
+
+
+def pack_columns(
+    cols: Sequence[Sequence[int]], widths: Sequence[int]
+) -> Tuple[bytes, int]:
+    """``(payload, bit count)``: every id of column ``j`` in ``widths[j]``
+    bits, LSB-first, column after column.
+
+    These are the bytes a :class:`~repro.dictionaries.storage.BitWriter`
+    writing each id in turn would produce.  Each column is spelled as one
+    string of binary digits (last fault first) and parsed as one integer.
+    """
+    stream = 0
+    position = 0
+    for col, width in zip(cols, widths):
+        if not width or not col:
+            continue
+        digits = [format(sid, f"0{width}b") for sid in range(max(col) + 1)]
+        stream |= int("".join(map(digits.__getitem__, reversed(col))), 2) << position
+        position += width * len(col)
+    return stream.to_bytes((position + 7) // 8, "little"), position
+
+
+def unpack_columns(
+    payload: Union[bytes, memoryview], widths: Sequence[int], n_faults: int
+) -> List[List[int]]:
+    """Invert :func:`pack_columns`: each column decoded from its own bytes.
+
+    Only the byte range holding column ``j`` is read, so no integer
+    larger than one column is ever built.  Bits past the payload read as
+    zero; the caller checks the declared bit count first.
+    """
+    cols = []
+    position = 0
+    for width in widths:
+        bits = width * n_faults
+        if not bits:
+            cols.append([0] * n_faults)
+            continue
+        chunk = int.from_bytes(
+            payload[position >> 3 : (position + bits + 7) >> 3], "little"
+        )
+        cols.append(
+            _unpack_ids((chunk >> (position & 7)) & ((1 << bits) - 1), width, n_faults)
+        )
+        position += bits
+    return cols
+
+
+def _unpack_ids(chunk: int, width: int, count: int) -> List[int]:
+    """The ``count`` ids of ``width`` bits packed LSB-first in ``chunk``.
+
+    One pass per bit position, not per id: the binary digits of ``chunk``
+    (last id first) are sliced with stride ``width`` into one 0/1 byte per
+    id, and Horner's rule on those byte strings accumulates every id in
+    its own lane of a big integer.  The lanes are then read out through
+    :mod:`array`.
+    """
+    digits = format(chunk, f"0{width * count}b").encode()
+    lane = 1
+    while 8 * lane < width:
+        lane *= 2
+    spread = bytearray(count * lane)
+    lanes = 0
+    for r in range(width):  # the most significant bit of every id first
+        plane = digits[r::width].translate(_DIGIT_BITS)
+        if lane > 1:
+            spread[lane - 1 :: lane] = plane
+            plane = spread
+        lanes = (lanes << 1) | int.from_bytes(plane, "big")
+    ids = array(_LANE_CODES[lane])
+    ids.frombytes(lanes.to_bytes(count * lane, "little"))
+    if sys.byteorder == "big":
+        ids.byteswap()
+    return ids.tolist()
+
+
+# ----------------------------------------------------------------------
 # save
 # ----------------------------------------------------------------------
 def save_artifact(
@@ -232,14 +329,7 @@ def save_artifact(
                         f"baseline of test {j} is not in the candidate set Z_{j}"
                     )
                 baselines.append(sid)
-        writer = BitWriter()
-        for j in range(table.n_tests):
-            width = (len(interned.sigs[j]) - 1).bit_length()
-            if not width:
-                continue
-            col = interned.cols[j]
-            for i in range(table.n_faults):
-                writer.write(col[i], width)
+        payload, payload_bits = pack_columns(interned.cols, _widths(interned.sigs))
         header = {
             "kind": built.kind,
             "config": asdict(built.config),
@@ -251,14 +341,12 @@ def save_artifact(
             "good_output_words": {
                 net: format(w, "x") for net, w in table.good_output_words.items()
             },
-            "signatures": [
-                [list(sig) for sig in sigs_j[1:]] for sigs_j in interned.sigs
-            ],
+            "signatures": [sigs_j[1:] for sigs_j in interned.sigs],
             "baselines": baselines,
-            "payload_bits": writer.bit_count,
+            "payload_bits": payload_bits,
         }
         header_bytes = _canonical(header)
-        body = _HEADER_LEN.pack(len(header_bytes)) + header_bytes + writer.to_bytes()
+        body = _HEADER_LEN.pack(len(header_bytes)) + header_bytes + payload
         blob = (
             _PREAMBLE.pack(
                 MAGIC,
@@ -387,7 +475,7 @@ def _reconstruct(body: bytes) -> BuiltDictionary:
     header_bytes = body[_HEADER_LEN.size : _HEADER_LEN.size + header_len]
     if len(header_bytes) != header_len:
         raise ArtifactFormatError("header extends past the end of the file")
-    payload = body[_HEADER_LEN.size + header_len :]
+    payload = memoryview(body)[_HEADER_LEN.size + header_len :]
     header = json.loads(header_bytes)
 
     kind = header["kind"]
@@ -411,58 +499,32 @@ def _reconstruct(body: bytes) -> BuiltDictionary:
         raise ArtifactFormatError(
             f"{n_tests} signature columns for {len(tests)} tests"
         )
-    if (int(header["payload_bits"]) + 7) // 8 != len(payload):
+    payload_bits = int(header["payload_bits"])
+    if (payload_bits + 7) // 8 != len(payload):
         raise ArtifactFormatError(
             f"payload is {len(payload)} bytes but header declares "
-            f"{header['payload_bits']} bits"
+            f"{payload_bits} bits"
+        )
+    widths = _widths(sigs)
+    if sum(widths) * n_faults != payload_bits:
+        raise ArtifactFormatError(
+            f"payload holds {sum(widths) * n_faults} bits of columns, header "
+            f"declares {payload_bits}"
         )
 
-    # Bulk decode: the payload is read once as a little-endian integer and
-    # each column is peeled off in one chunk — the same bit order the
-    # incremental BitReader would walk, an order of magnitude fewer
-    # Python-level operations (this is the warm path of the build cache).
-    stream = int.from_bytes(payload, "little")
-    position = 0
-    cols: List[List[int]] = []
-    det_words = [0] * n_faults
+    # Column-at-a-time from here on (this is the warm path of the build
+    # cache): decode, range-check, then fill the per-fault dicts.
+    cols = unpack_columns(payload, widths, n_faults)
     failing: List[Dict[int, Signature]] = [{} for _ in range(n_faults)]
-    for j, sigs_j in enumerate(sigs):
-        width = (len(sigs_j) - 1).bit_length()
-        col = [0] * n_faults
-        if width:
-            mask = (1 << width) - 1
-            chunk = (stream >> position) & ((1 << (width * n_faults)) - 1)
-            position += width * n_faults
-            bit = 1 << j
-            for i in range(n_faults):
-                sid = chunk & mask
-                chunk >>= width
-                if sid >= len(sigs_j):
-                    raise ArtifactFormatError(
-                        f"signature id {sid} out of range for test {j}"
-                    )
-                if sid:
-                    col[i] = sid
-                    det_words[i] |= bit
-                    failing[i][j] = sigs_j[sid]
-        cols.append(col)
-    if position != int(header["payload_bits"]):
-        raise ArtifactFormatError(
-            f"payload holds {position} bits of columns, header declares "
-            f"{header['payload_bits']}"
-        )
+    for j, (col, sigs_j) in enumerate(zip(cols, sigs)):
+        top = max(col, default=0)
+        if top >= len(sigs_j):
+            raise ArtifactFormatError(f"signature id {top} out of range for test {j}")
+        for row, sid in zip(compress(failing, col), filter(None, col)):
+            row[j] = sigs_j[sid]
 
     table = ResponseTable(outputs, faults, tests, failing, good)
-    table.adopt_interned(
-        InternedTable(
-            n_faults,
-            n_tests,
-            cols,
-            sigs,
-            [{sig: sid for sid, sig in enumerate(sigs_j)} for sigs_j in sigs],
-            det_words,
-        )
-    )
+    table.adopt_interned(InternedTable.from_columns(n_faults, cols, sigs))
 
     if kind == "same-different":
         ids = header["baselines"]
