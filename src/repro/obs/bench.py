@@ -53,12 +53,15 @@ def host_fingerprint() -> Dict[str, object]:
     because a wall-clock "regression" measured on different hardware is
     an observation about the hardware first.
     """
+    # Imported here: repro.kernels imports repro.obs.
+    from ..kernels.base import default_backend_name
+
     return {
         "platform": platform.platform(),
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "cpu_count": os.cpu_count() or 1,
-        "backend": os.environ.get("REPRO_BACKEND", "packed"),
+        "backend": default_backend_name(),
     }
 
 

@@ -13,7 +13,7 @@ from repro.obs import (
     BenchSchemaError,
     scoped_registry,
 )
-from repro.obs.bench import BenchCase, load_results
+from repro.obs.bench import BenchCase, host_fingerprint, load_results
 
 
 def small_result(area="demo", wall=0.5, quick=False):
@@ -159,3 +159,17 @@ class TestMerge:
         results = load_results(tmp_path)
         assert set(results) == {"demo"}
         assert results["demo"].case("alpha").wall_seconds == pytest.approx(0.2)
+
+
+class TestFingerprint:
+    @pytest.mark.parametrize(
+        "value, expected", [(None, "packed"), ("", "packed"), ("naive", "naive")]
+    )
+    def test_backend_is_the_one_builds_use(self, monkeypatch, value, expected):
+        # An empty REPRO_BACKEND falls back to the default backend in
+        # builds, so the fingerprint must report that backend, not "".
+        if value is None:
+            monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_BACKEND", value)
+        assert host_fingerprint()["backend"] == expected
