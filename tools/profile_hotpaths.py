@@ -16,7 +16,11 @@ guess.  This harness runs one representative workload per area —
 * ``atpg``      — a cold diagnostic test generation on p208 (seed 0):
                   detection ATPG, random splitting and the SAT miter
                   phase, from a freshly loaded netlist,
-* ``artifact``  — artifact save/load round trips (the serve cold path),
+* ``artifact``  — artifact save/load round trips (the serve cold path)
+                  of a same/different build of the ``b14p`` ITC-99
+                  proxy, 10k faults x 32 tests at ``calls1=10`` (2k
+                  faults in quick mode): the table ``build-b14p`` uses,
+                  where the store is a third of a pass,
 * ``serve``     — a warm-pool request batch through ``DiagnosisServer``
                   (``workers=1`` keeps the work on the profiled thread)
 
@@ -58,6 +62,7 @@ ARTIFACT_ROUNDS = 5 if QUICK else 20
 KERNEL_SWEEPS = 2 if QUICK else 5
 PARTITION_FAULTS = 1500 if QUICK else 4000
 PARTITION_TESTS = 24 if QUICK else 48
+ARTIFACT_FAULTS = 2000 if QUICK else 10000
 
 
 # ----------------------------------------------------------------------
@@ -137,9 +142,11 @@ def prepare_atpg():
 
 def prepare_artifact(workdir: Path):
     from repro.api import DictionaryConfig, build
+    from repro.circuit.generate import proxy_response_table
     from repro.store import load_artifact, save_artifact
 
-    built = build(_table(), config=DictionaryConfig(seed=0, calls1=5))
+    table = proxy_response_table("b14p", ARTIFACT_FAULTS, 32)
+    built = build(table, config=DictionaryConfig(seed=0, calls1=10))
     path = workdir / "profile.rfd"
 
     def run():
