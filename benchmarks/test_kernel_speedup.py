@@ -9,7 +9,8 @@ wall-clock of its dist(z) computation under ``timings["scoring"]``, so
 the comparison excludes the (shared) selection/cutoff bookkeeping and
 the packed backend's one-off interning cost, which is reported
 separately via the ``kernel.pack_seconds`` / ``kernel.tables_packed``
-metrics.
+metrics.  On these many-test cells packed scores most tests in its
+class-major phase, so this half keeps that phase gated.
 
 Rounds are interleaved (naive, packed, naive, packed, …) and the
 per-backend minimum is kept, so background CPU drift hits both sides
@@ -20,20 +21,15 @@ CI setting) times only p208 and asserts ≥1.5×.  The measured per-circuit
 ratio is regression-gated against the committed baseline through
 ``BENCH_kernel_speedup.json``.
 
-The second half benches the **vector** backend against packed on large
-synthetic tables (``tests.util.random_table``), where its batched
-word-array sweep pays off — the bundled circuits are too small for it
-(see docs/kernels.md).  Here the timer wraps the *whole*
-``procedure1`` call rather than ``timings["scoring"]``: packed's
-scoring timer excludes the per-split partition bookkeeping that the
-vector sweep folds into its batched counting, so whole-call wall time
-is the only honest common denominator.  Quick mode runs one 4 000-fault
-workload with a ≥3× floor; full mode adds 8 000- and 24 000-fault
-workloads, the largest carrying the ≥10× target from the kernel
-roadmap (floored at 7× to absorb machine variance, with the measured
-ratio regression-gated).  Skipped entirely when numpy is not
-importable — the fallback path trades speed for portability and is
-differential-tested, not raced.
+The second half times whole ``procedure1`` calls, packed against naive,
+on large synthetic tables (``tests.util.random_table``), where packed
+scores mostly entry-major.  The timer wraps the *whole* call rather than
+``timings["scoring"]``: the entry-major phase folds its split
+bookkeeping into the same counts it scores from, so whole-call wall
+time is the only honest common denominator.  Quick mode runs one
+4 000-fault workload; full mode adds an 8 000-fault one.  Each floor
+sits well under the ratios measured on a 2-vCPU host (noted beside the
+workloads), and the measured ratio is regression-gated.
 """
 
 from __future__ import annotations
@@ -55,18 +51,15 @@ LOWER = 10
 MIN_EACH = 1.5
 MIN_GEOMEAN = 3.0
 
-#: Synthetic vector-vs-packed workloads:
+#: Synthetic whole-``procedure1`` workloads, packed against naive:
 #: (name, n_faults, n_tests, n_outputs, density, speedup floor).
-#: The quick workload floors at the 3x acceptance bound; the full-mode
-#: largest workload floors at 7x and records the 10x target.
-VECTOR_WORKLOADS_QUICK = [("rand4000", 4000, 100, 4, 0.10, 3.0)]
-VECTOR_WORKLOADS_FULL = [
+#: Measured on a 2-vCPU host: rand4000 5.1–10×, rand8000 7.7–15.6×,
+#: depending on the host's load state.
+SYNTHETIC_WORKLOADS_QUICK = [("rand4000", 4000, 100, 4, 0.10, 3.0)]
+SYNTHETIC_WORKLOADS_FULL = [
     ("rand4000", 4000, 100, 4, 0.10, 3.0),
     ("rand8000", 8000, 160, 4, 0.06, 4.0),
-    ("rand24000", 24000, 200, 4, 0.05, 7.0),
 ]
-#: The full-mode target on the largest workload (recorded, not floored).
-VECTOR_TARGET = 10.0
 
 
 def _bench_circuits():
@@ -170,13 +163,13 @@ def test_kernel_speedup_geomean(bench):
     )
 
 
-def _vector_workloads():
+def _synthetic_workloads():
     if quick_mode():
-        return VECTOR_WORKLOADS_QUICK
-    return VECTOR_WORKLOADS_FULL
+        return SYNTHETIC_WORKLOADS_QUICK
+    return SYNTHETIC_WORKLOADS_FULL
 
 
-@pytest.fixture(scope="module", params=_vector_workloads(),
+@pytest.fixture(scope="module", params=_synthetic_workloads(),
                 ids=lambda spec: spec[0])
 def synthetic_table(request):
     from tests.util import random_table
@@ -187,63 +180,47 @@ def synthetic_table(request):
     return name, table, floor
 
 
-def test_vector_speedup_vs_packed(bench, synthetic_table):
-    pytest.importorskip(
-        "numpy", reason="the vector speedup claim is about the numpy path"
-    )
+def test_procedure1_speedup_vs_naive(bench, synthetic_table):
     name, table, floor = synthetic_table
+    naive = get_backend("naive")
     packed = get_backend("packed")
-    vector = get_backend("vector")
-    assert vector.uses_numpy
 
-    # Both backends' one-off preparation (interning, word-array packing)
-    # happens outside the timed rounds; the vector layout cost is still
-    # reported so a packing regression shows up in the trajectory.
-    with scoped_registry() as registry:
-        packed.prepare(table)
-        vector.prepare(table)
-        snapshot = registry.snapshot()
-    vector_pack_seconds = snapshot["timers"][
-        "kernel.vector_pack_seconds"]["total"]
+    # Both backends' one-off preparation happens outside the timed
+    # rounds: packed's interning, and the per-test signature groups the
+    # naive path caches on the table during its first call.
+    order = range(table.n_tests)
+    packed.prepare(table)
+    naive.procedure1(table, order, LOWER)
 
+    naive_case = bench.case(f"naive[{name}]", workload=name, backend="naive")
     packed_case = bench.case(f"packed[{name}]", workload=name,
                              backend="packed")
-    vector_case = bench.case(f"vector[{name}]", workload=name,
-                             backend="vector")
-    order = range(table.n_tests)
+    naive_best = math.inf
     packed_best = math.inf
-    vector_best = math.inf
     for _ in range(ROUNDS):
+        start = time.perf_counter()
+        naive_run = naive.procedure1(table, order, LOWER)
+        naive_seconds = time.perf_counter() - start
         start = time.perf_counter()
         packed_run = packed.procedure1(table, order, LOWER)
         packed_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        vector_run = vector.procedure1(table, order, LOWER)
-        vector_seconds = time.perf_counter() - start
         # The differential half of the claim: identical output, always.
-        assert _run_tuple(vector_run) == _run_tuple(packed_run)
+        assert _run_tuple(packed_run) == _run_tuple(naive_run)
+        naive_case.record(naive_seconds)
         packed_case.record(packed_seconds)
-        vector_case.record(vector_seconds)
+        naive_best = min(naive_best, naive_seconds)
         packed_best = min(packed_best, packed_seconds)
-        vector_best = min(vector_best, vector_seconds)
 
-    ratio = packed_best / vector_best if vector_best else math.inf
-    vector_case.info(
-        vector_pack_seconds=vector_pack_seconds,
-        faults=table.n_faults, tests=table.n_tests, floor=floor,
-    )
-    if name == "rand24000":
-        vector_case.info(target_speedup=VECTOR_TARGET,
-                         target_reached=ratio >= VECTOR_TARGET)
-    vector_case.gate("speedup_vs_packed", ratio, higher_is_better=True,
-                     tolerance=0.35)
+    ratio = naive_best / packed_best if packed_best else math.inf
+    packed_case.info(faults=table.n_faults, tests=table.n_tests, floor=floor)
+    packed_case.gate("procedure1_speedup_vs_naive", ratio,
+                     higher_is_better=True, tolerance=0.35)
     print(
-        f"\n[kernel-speedup] {name}: packed={packed_best * 1e3:.1f}ms "
-        f"vector={vector_best * 1e3:.1f}ms speedup={ratio:.2f}x "
-        f"(floor {floor}x, vector_pack={vector_pack_seconds * 1e3:.1f}ms, "
-        f"faults={table.n_faults}, tests={table.n_tests})"
+        f"\n[kernel-speedup] {name}: naive={naive_best * 1e3:.1f}ms "
+        f"packed={packed_best * 1e3:.1f}ms speedup={ratio:.2f}x "
+        f"(floor {floor}x, faults={table.n_faults}, tests={table.n_tests})"
     )
     assert ratio >= floor, (
-        f"{name}: vector procedure1 only {ratio:.2f}x faster than packed "
+        f"{name}: packed procedure1 only {ratio:.2f}x faster than naive "
         f"(floor {floor}x)"
     )

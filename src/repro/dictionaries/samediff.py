@@ -28,9 +28,8 @@ This module implements:
 
 The inner loops are delegated to a pluggable kernel backend
 (:mod:`repro.kernels`): ``naive`` is the reference code kept in this
-module, ``packed`` the interned-column fast path and ``vector`` the
-batched word-array sweep.  All are bit-identical; the backend only
-changes how long a build takes.
+module and ``packed`` the interned-column fast path.  Both are
+bit-identical; the backend only changes how long a build takes.
 
 Tuning comes from a :class:`~repro.api.DictionaryConfig`
 (``config=``); :func:`repro.api.build` is the one public entry point for
@@ -63,14 +62,23 @@ Partition = FaultPartition
 class SameDifferentDictionary(FaultDictionary):
     """A same/different dictionary for a fixed baseline assignment."""
 
-    def __init__(self, table: ResponseTable, baselines: Sequence[Signature]) -> None:
+    def __init__(
+        self,
+        table: ResponseTable,
+        baselines: Sequence[Signature],
+        rows: Optional[List[int]] = None,
+    ) -> None:
+        """``rows``, when given, are :func:`_rows_under` ``baselines``
+        already built by the caller; they are not recomputed."""
         super().__init__(table)
         if len(baselines) != table.n_tests:
             raise ValueError(
                 f"{len(baselines)} baselines for {table.n_tests} tests"
             )
         self.baselines: Tuple[Signature, ...] = tuple(tuple(b) for b in baselines)
-        self._rows: List[int] = _rows_under(table, self.baselines)
+        self._rows: List[int] = (
+            rows if rows is not None else _rows_under(table, self.baselines)
+        )
 
     @property
     def kind(self) -> str:
@@ -468,22 +476,20 @@ def _build_impl(
         # No test to pick a baseline for, or no pair to distinguish.
         return SameDifferentDictionary(table, [PASS] * table.n_tests), report
 
-    # Materialise the backend's cached view (interned columns, word-array
-    # layout, …) now: outside the per-phase timers, and before a parallel
-    # build pickles the table to its workers — derived layouts ship with
-    # it instead of being re-derived in every worker process.
+    # Materialise the backend's cached view (interned columns and their
+    # detected entries) now: outside the per-phase timers, and before a
+    # parallel build pickles the table to its workers — derived layouts
+    # ship with it instead of being re-derived in every worker process.
     backend.prepare(table)
 
+    # The fold's floor is the all-PASS assignment: the pass/fail rows.
     ceiling = total_pairs(table.n_faults) - backend.full_indistinguished(table)
-    floor_baselines: List[Signature] = [PASS] * table.n_tests
-    floor_distinguished = total_pairs(table.n_faults) - backend.indistinguished_for(
-        table, floor_baselines
-    )
     fold = RestartFold(
         calls=calls,
         ceiling=ceiling,
-        baselines=floor_baselines,
-        distinguished=floor_distinguished,
+        baselines=[PASS] * table.n_tests,
+        distinguished=total_pairs(table.n_faults)
+        - backend.passfail_indistinguished(table),
         progress=progress,
         observer=checkpoint.on_fold if checkpoint is not None else None,
     )
@@ -517,7 +523,8 @@ def _build_impl(
     report.procedure1_seconds = phase1.elapsed
     report.distinguished_procedure1 = best_distinguished
     report.distinguished_procedure2 = best_distinguished
-    report.classes_after_procedure1 = _classes_under(table, best_baselines)
+    rows = _rows_under(table, best_baselines)
+    report.classes_after_procedure1 = len(set(rows))
     report.classes_after_procedure2 = report.classes_after_procedure1
     registry.counter("build.restarts").inc(report.procedure1_calls)
     registry.gauge("build.stale_streak").set(fold.stale)
@@ -525,18 +532,21 @@ def _build_impl(
     if config.procedure2 and best_distinguished < ceiling:
         with registry.timer("build.procedure2_seconds").time() as phase2:
             with trace_span("build.procedure2"):
-                best_baselines, improved, passes, replacements = _replace_with(
+                replaced, improved, passes, replacements = _replace_with(
                     backend, table, best_baselines, 10
                 )
         report.procedure2_seconds = phase2.elapsed
         report.distinguished_procedure2 = improved
         report.procedure2_passes = passes
         report.replacements = replacements
-        report.classes_after_procedure2 = _classes_under(table, best_baselines)
+        if replaced != list(best_baselines):
+            best_baselines = replaced
+            rows = _rows_under(table, best_baselines)
+            report.classes_after_procedure2 = len(set(rows))
         progress.report("build.procedure2", passes, replacements=replacements)
     if checkpoint is not None:
         checkpoint.complete()
-    return SameDifferentDictionary(table, best_baselines), report
+    return SameDifferentDictionary(table, best_baselines, rows), report
 
 
 def _partition_under(
@@ -578,22 +588,6 @@ def _rows_under(table: ResponseTable, baselines: Sequence[Signature]) -> List[in
     interned = table.interned
     return interned.rows(
         [interned.sig_ids[j].get(tuple(b)) for j, b in enumerate(baselines)]
-    )
-
-
-def _classes_under(table: ResponseTable, baselines: Sequence[Signature]) -> int:
-    """Partition-class count (distinct rows) under ``baselines``."""
-    return len(set(_rows_under(table, baselines)))
-
-
-def _full_dictionary_distinguished(table: ResponseTable) -> int:
-    """Pairs distinguished by the full dictionary — the attainable ceiling."""
-    groups: Dict[tuple, int] = {}
-    for index in range(table.n_faults):
-        row = table.full_row(index)
-        groups[row] = groups.get(row, 0) + 1
-    return total_pairs(table.n_faults) - sum(
-        pairs_within(count) for count in groups.values()
     )
 
 

@@ -3,18 +3,15 @@
 A *kernel backend* bundles the pair-counting primitives the dictionary
 procedures spend their time in: ``dist(z)`` candidate scoring for
 Procedure 1, the Procedure 2 hill-climb, and the indistinguished-pair
-counts of the pass/fail, same/different and full organisations.  Two
-implementations ship with the repo:
+counts of the pass/fail and full organisations.  Two implementations
+ship with the repo:
 
 * ``naive`` — the original pure-Python reference paths in
   :mod:`repro.dictionaries.samediff`; trivially correct, used as the
   differential oracle.
 * ``packed`` — interned integer signature ids over precomputed columns
-  (:mod:`repro.kernels.interning`) with class-major scoring and
-  detection-word skipping (:mod:`repro.kernels.packed`).
-* ``vector`` — batched word-array candidate scoring over the flat
-  :class:`~repro.kernels.interning.VectorLayout` (numpy when importable,
-  stdlib ``array`` fallback otherwise; :mod:`repro.kernels.vector`).
+  (:mod:`repro.kernels.interning`) with entry-major, then class-major
+  scoring and detection-word skipping (:mod:`repro.kernels.packed`).
 
 Backends must be *byte-identical*: same baselines, same counts, same
 metrics, for every input.  ``REPRO_BACKEND`` selects the process-wide
@@ -117,12 +114,6 @@ class KernelBackend(Protocol):
         member lists of :meth:`candidate_distances` are not computed —
         this is the refinement-delta primitive the selection loops drive.
         """
-        ...
-
-    def indistinguished_for(
-        self, table: ResponseTable, baselines: Sequence[Signature]
-    ) -> int:
-        """Indistinguished pairs of the same/different rows under ``baselines``."""
         ...
 
     def passfail_indistinguished(self, table: ResponseTable) -> int:

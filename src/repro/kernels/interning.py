@@ -9,55 +9,48 @@ every signature with a small integer id *per test column*:
   id ``0`` is always the fault-free response, ids ``1..`` enumerate the
   distinct failing signatures in the order
   :meth:`~repro.sim.responses.ResponseTable.failing_signatures` reports
-  them (first-fault order), so candidate index == signature id.
+  them (first-fault order), so candidate index == signature id.  Each
+  column is an unsigned :class:`array.array` of the narrowest lane that
+  holds its ids (:func:`id_typecode`): one byte while ``|Z_j| <= 256``.
 * ``sigs[j]`` maps ids back to signatures (``sigs[j][0] is PASS``).
 * ``det_words[i]`` packs fault ``i``'s pass/fail row into one int (bit
-  ``j`` set when test ``j`` detects it) — the uint64-style word layer the
-  packed kernels popcount and mask against.
+  ``j`` set when test ``j`` detects it) — the word layer the packed
+  kernels popcount and mask against.
 
 Dictionary rows are read off the columns one column at a time
 (:meth:`InternedTable.rows`): the same/different row of every fault
 under a baseline id per test, with ``det_words`` as the all-PASS special
-case.
+case.  :attr:`InternedTable.entries` lists each test's detected
+``(fault, id)`` entries, the input of the entry-major Procedure 1 sweep.
 
-Everything is plain lists/dicts/ints, so an interned table pickles with
-its :class:`ResponseTable` and ships to restart worker processes as-is.
-Interning time lands in the ``kernel.pack_seconds`` timer.
-
-On top of the interned view, :func:`build_vector_layout` derives the
-*word-array layout* the ``vector`` backend sweeps: the same ids laid out
-as flat, contiguous machine-word blocks (stdlib :mod:`array` storage, so
-the layout pickles with the table; numpy views are derived zero-copy at
-compute time and never pickled):
-
-* ``col_words`` — every column concatenated test-major
-  (``col_words[j * n + i] == cols[j][i]``), 32-bit;
-* ``det_offsets`` / ``det_index`` / ``det_sid`` — a CSR encoding of the
-  detected (test, fault) entries: for test ``j``, positions
-  ``det_offsets[j]:det_offsets[j + 1]`` list the detected fault indices
-  and their signature ids in ascending fault order;
-* ``det_blocks`` — the pass/fail rows as fault-major 64-bit words
-  (``W = ceil(n_tests / 64)`` words per fault, bit ``j`` of word
-  ``j // 64`` set when test ``j`` detects the fault) — ``det_words``
-  re-expressed as fixed-width blocks.
-
-Layout-building time lands in ``kernel.vector_pack_seconds`` and counts
-``kernel.vector_layouts``.
+Everything is stdlib lists, dicts, ints and arrays, so an interned table
+pickles with its :class:`ResponseTable` and ships to restart worker
+processes as-is.  Interning time lands in the ``kernel.pack_seconds``
+timer.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs import get_default_registry
 from ..sim.responses import PASS, ResponseTable, Signature
 
-#: Bits per ``det_blocks`` word.
-WORD_BITS = 64
-_WORD_MASK = (1 << WORD_BITS) - 1
+
+def id_typecode(n_ids: int) -> str:
+    """The unsigned :mod:`array` typecode of a column holding ids ``< n_ids``.
+
+    The lane is the narrowest power-of-two byte width that holds
+    ``n_ids - 1`` — the same lanes the artifact loader decodes into.
+    """
+    bits = max(n_ids - 1, 0).bit_length()
+    for code in "BHIQ":
+        if 8 * array(code).itemsize >= bits:
+            return code
+    raise OverflowError(f"{n_ids} ids do not fit a 64-bit lane")
 
 
 @dataclass
@@ -66,8 +59,8 @@ class InternedTable:
 
     n_faults: int
     n_tests: int
-    #: Per test: signature id per fault (0 = fault-free).
-    cols: List[List[int]]
+    #: Per test: signature id per fault (0 = fault-free), an unsigned array.
+    cols: List[array]
     #: Per test: id -> signature (index 0 is PASS), i.e. the candidate set Z_j.
     sigs: List[List[Signature]]
     #: Per test: signature -> id (includes PASS -> 0).
@@ -81,7 +74,7 @@ class InternedTable:
 
     @classmethod
     def from_columns(
-        cls, n_faults: int, cols: List[List[int]], sigs: List[List[Signature]]
+        cls, n_faults: int, cols: List[array], sigs: List[List[Signature]]
     ) -> "InternedTable":
         """The view of id columns and their candidate sets alone: ``sig_ids``
         and ``det_words`` are derived from them."""
@@ -117,181 +110,66 @@ class InternedTable:
         return list(map(int, map("".join, zip(*planes)), repeat(2)))
 
     @property
-    def vector(self) -> "VectorLayout":
-        """The word-array layout (:class:`VectorLayout`), built lazily.
+    def entries(self) -> List[Tuple[array, array]]:
+        """Per test: ``(faults, ids)`` of its detected entries, fault order.
 
-        Cached on the instance (outside the dataclass fields) so it
-        pickles along with the interned view to restart workers.
+        ``faults`` holds the indices of the faults test ``j`` detects and
+        ``ids`` their (non-zero) signature ids.  Interning lays them out;
+        a view made :meth:`from_columns` derives them on first use.  They
+        are cached on the instance (outside the dataclass fields), so they
+        pickle with the view to restart workers.
         """
-        layout = self.__dict__.get("_vector")
-        if layout is None:
-            layout = self.__dict__["_vector"] = build_vector_layout(self)
-        return layout
+        entries = self.__dict__.get("_entries")
+        if entries is None:
+            index_code = id_typecode(self.n_faults)
+            every = range(self.n_faults)
+            entries = self.__dict__["_entries"] = [
+                (array(index_code, compress(every, col)),
+                 array(col.typecode, filter(None, col)))
+                for col in self.cols
+            ]
+        return entries
 
 
 def intern_response_table(table: ResponseTable) -> InternedTable:
-    """Intern every column of ``table`` (see the module docstring)."""
+    """Intern every column of ``table`` (see the module docstring).
+
+    One walk over each fault's failing dict, in fault order: a signature
+    not seen before under its test takes the next id, which is exactly
+    first-fault order.  The walk visits each test's detected entries in
+    fault order, so it lays out :attr:`InternedTable.entries` too, and
+    the columns are filled from them.
+    """
     registry = get_default_registry()
     with registry.timer("kernel.pack_seconds").time():
-        n = table.n_faults
-        cols: List[List[int]] = []
-        sigs: List[List[Signature]] = []
-        sig_ids: List[Dict[Signature, int]] = []
+        n, k = table.n_faults, table.n_tests
+        sigs: List[List[Signature]] = [[PASS] for _ in range(k)]
+        sig_ids: List[Dict[Signature, int]] = [{PASS: 0} for _ in range(k)]
+        hit_faults: List[List[int]] = [[] for _ in range(k)]
+        hit_ids: List[List[int]] = [[] for _ in range(k)]
         det_words = [0] * n
-        for j in range(table.n_tests):
-            failing = table.failing_signatures(j)
-            groups = table.failing_groups(j)
-            col = [0] * n
-            bit = 1 << j
-            for sid, group in enumerate(groups, 1):
-                for i in group:
-                    col[i] = sid
-                    det_words[i] |= bit
+        for i in range(n):
+            word = 0
+            for j, sig in table.failing_map(i).items():
+                sid = sig_ids[j].get(sig)
+                if sid is None:
+                    sid = sig_ids[j][sig] = len(sigs[j])
+                    sigs[j].append(sig)
+                hit_faults[j].append(i)
+                hit_ids[j].append(sid)
+                word |= 1 << j
+            det_words[i] = word
+        index_code = id_typecode(n)
+        cols: List[array] = []
+        entries: List[Tuple[array, array]] = []
+        for sigs_j, faults, ids in zip(sigs, hit_faults, hit_ids):
+            code = id_typecode(len(sigs_j))
+            col = array(code, [0]) * n
+            for i, sid in zip(faults, ids):
+                col[i] = sid
             cols.append(col)
-            sigs.append([PASS] + list(failing))
-            sig_ids.append(
-                {sig: sid for sid, sig in enumerate([PASS] + list(failing))}
-            )
+            entries.append((array(index_code, faults), array(code, ids)))
+        interned = InternedTable(n, k, cols, sigs, sig_ids, det_words)
+        interned.__dict__["_entries"] = entries
         registry.counter("kernel.tables_packed").inc()
-    return InternedTable(n, table.n_tests, cols, sigs, sig_ids, det_words)
-
-
-@dataclass
-class VectorLayout:
-    """Flat word-array view of an :class:`InternedTable` (module docstring).
-
-    All storage is stdlib :class:`array.array` — ``'i'`` (32-bit signed)
-    for ids and indices, ``'q'`` for offsets, ``'Q'`` for detection
-    words — so the layout pickles compactly with its table.  Numpy
-    consumers view the buffers zero-copy (``numpy.frombuffer``); those
-    views are cached privately and stripped from the pickled state.
-    """
-
-    n_faults: int
-    n_tests: int
-    #: Words per fault in ``det_blocks``: ``ceil(n_tests / WORD_BITS)``.
-    det_width: int
-    #: Test-major flat columns: ``col_words[j * n_faults + i]``.
-    col_words: array
-    #: CSR offsets (length ``n_tests + 1``) into ``det_index``/``det_sid``.
-    det_offsets: array
-    #: Detected fault index per (test, fault) entry, ascending per test.
-    det_index: array
-    #: Failing-signature id (>= 1) per detected entry.
-    det_sid: array
-    #: Fault-major detection words: ``det_blocks[i * det_width + w]``.
-    det_blocks: array
-
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-
-
-def build_vector_layout(interned: InternedTable) -> VectorLayout:
-    """Lay ``interned`` out as contiguous word arrays (module docstring).
-
-    Uses numpy when it is importable and a pure-Python loop otherwise.
-    Both paths produce byte-identical arrays — the round-trip property
-    tests in ``tests/kernels/test_vector_layout.py`` hold them together.
-    """
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        build = _build_layout_python
-    else:
-        build = _build_layout_numpy
-    registry = get_default_registry()
-    with registry.timer("kernel.vector_pack_seconds").time():
-        n, k = interned.n_faults, interned.n_tests
-        width = (k + WORD_BITS - 1) // WORD_BITS
-        layout = build(interned, n, k, width)
-        registry.counter("kernel.vector_layouts").inc()
-    return layout
-
-
-def _build_layout_python(interned, n, k, width):
-    col_words = array("i")
-    det_offsets = array("q", bytes(8 * (k + 1)))
-    det_index = array("i")
-    det_sid = array("i")
-    pos = 0
-    for j, col in enumerate(interned.cols):
-        col_words.extend(col)
-        for i, sid in enumerate(col):
-            if sid:
-                det_index.append(i)
-                det_sid.append(sid)
-                pos += 1
-        det_offsets[j + 1] = pos
-    det_blocks = array("Q", bytes(8 * n * width))
-    for i, word in enumerate(interned.det_words):
-        base = i * width
-        w = 0
-        while word:
-            det_blocks[base + w] = word & _WORD_MASK
-            word >>= WORD_BITS
-            w += 1
-    return VectorLayout(
-        n, k, width, col_words, det_offsets, det_index, det_sid, det_blocks
-    )
-
-
-def _build_layout_numpy(interned, n, k, width):
-    import numpy as np
-
-    colmat = np.zeros((k, n), dtype=np.int32)
-    for j, col in enumerate(interned.cols):
-        colmat[j] = col
-    j_idx, i_idx = np.nonzero(colmat)  # row-major: test-major, faults ascending
-    det_offsets_np = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(colmat, axis=1), out=det_offsets_np[1:])
-    det_index_np = i_idx.astype(np.int32)
-    det_sid_np = colmat[j_idx, i_idx]
-    bits = (colmat != 0).T  # (n, k) pass/fail rows
-    padded = np.zeros((n, width * WORD_BITS), dtype=np.uint8)
-    if k:
-        padded[:, :k] = bits
-    packed = np.packbits(padded, axis=1, bitorder="little")  # (n, width * 8)
-    blocks_np = np.zeros((n, width), dtype=np.uint64)
-    for byte in range(8):
-        blocks_np |= packed[:, byte::8].astype(np.uint64) << np.uint64(8 * byte)
-
-    def as_array(typecode, np_arr, dtype):
-        out = array(typecode)
-        out.frombytes(np.ascontiguousarray(np_arr, dtype=dtype).tobytes())
-        return out
-
-    return VectorLayout(
-        n,
-        k,
-        width,
-        as_array("i", colmat.reshape(-1), np.int32),
-        as_array("q", det_offsets_np, np.int64),
-        as_array("i", det_index_np, np.int32),
-        as_array("i", det_sid_np, np.int32),
-        as_array("Q", blocks_np.reshape(-1), np.uint64),
-    )
-
-
-def unpack_vector_layout(layout: VectorLayout) -> Tuple[List[List[int]], List[int]]:
-    """Invert the packing: ``(cols, det_words)`` as plain lists/ints.
-
-    Rebuilds the per-test id columns from ``col_words`` and the
-    arbitrary-precision detection words from ``det_blocks`` — the
-    round-trip property tests assert these equal the source
-    :class:`InternedTable` exactly, and that the CSR entries agree with
-    the rebuilt columns.
-    """
-    n, k, width = layout.n_faults, layout.n_tests, layout.det_width
-    cols = [
-        list(layout.col_words[j * n:(j + 1) * n]) for j in range(k)
-    ]
-    det_words = []
-    for i in range(n):
-        word = 0
-        for w in range(width - 1, -1, -1):
-            word = (word << WORD_BITS) | layout.det_blocks[i * width + w]
-        det_words.append(word)
-    return cols, det_words
+    return interned

@@ -55,14 +55,6 @@ class NaiveBackend:
 
         return _refine_scores(table, test_index, partition)
 
-    def indistinguished_for(
-        self, table: ResponseTable, baselines: Sequence[Signature]
-    ) -> int:
-        from ..dictionaries.samediff import _rows_for
-        from ..partition import rows_indistinguished
-
-        return rows_indistinguished(_rows_for(table, baselines))
-
     def passfail_indistinguished(self, table: ResponseTable) -> int:
         from ..partition import rows_indistinguished
 

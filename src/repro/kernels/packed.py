@@ -1,22 +1,39 @@
-"""The packed kernel backend: interned columns, class-major scoring.
+"""The packed kernel backend: interned columns, counted scoring.
 
 Where the naive reference walks every candidate's member list with
-per-fault dict lookups, this backend works *class-major* over interned
-integer columns (:mod:`repro.kernels.interning`):
+per-fault dict lookups, this backend scores from interned integer
+columns (:mod:`repro.kernels.interning`) and counts with C-level
+:class:`collections.Counter` histograms.
 
-* each unresolved partition class keeps a cached :func:`operator.itemgetter`
-  over its members, so gathering the class's responses under a test is a
-  single C call;
-* one pass over a class accumulates ``a * (s - a)`` into the dist vector
-  of *every* candidate at once (the fault-free candidate is just id 0),
-  with C-level fast paths for the all-same and two-distinct cases;
-* splits run through :func:`itertools.compress` masks instead of a
-  Python filter loop;
-* each class carries a *detection-union word* (the OR of its members'
-  pass/fail rows, exact for small classes): one shift-and-mask decides
-  whether a test can touch the class at all, which is what makes the
-  late refinement stages — where almost every class is settled for
-  almost every test — cheap.
+**Procedure 1** runs each restart in two phases, and the restart's own
+state picks the moment it switches:
+
+* *entry-major* while the faults still in classes of size >= 2 number
+  more than :data:`HANDOVER_RATIO` times test ``j``'s detected entries
+  — early, while classes are few and large.  One pass over those
+  ``(fault, id)`` entries (:attr:`~repro.kernels.interning.InternedTable.entries`)
+  reads a class label per fault, and a histogram of ``(class, id)``
+  pairs gives every candidate's ``dist`` at once — the fault-free
+  candidate from the per-class detected counts.  A split relabels the
+  moved entries; no member lists exist in this phase.
+* *class-major* from the first test where that no longer holds.  The
+  class member lists are built from the labels once, and the rest of the
+  restart walks the unresolved classes:
+
+  - each class keeps a cached :func:`operator.itemgetter` over its
+    members, so gathering its responses under a test is a single C call;
+  - one pass over a class accumulates ``a * (s - a)`` into the dist of
+    *every* candidate at once, with C-level fast paths for the all-same
+    and two-distinct cases;
+  - each class carries a *detection-union word* (the OR of its members'
+    pass/fail rows, exact for small classes): one shift-and-mask decides
+    whether a test can touch the class at all, which is what makes the
+    late refinement stages — where almost every class is settled for
+    almost every test — cheap.
+
+**Procedure 2** counts, per test ``j``, the classes of rows with bit
+``j`` masked out and the ``(class, id)`` pairs inside them, then reads
+every candidate's split from one pass over those counts.
 
 Selection-loop semantics (best/``LOWER``-cutoff bookkeeping, tie-breaks,
 split conditions) replicate :func:`repro.dictionaries.samediff.select_baselines`
@@ -27,12 +44,13 @@ two backends byte-identical.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from functools import reduce
 from itertools import compress
 from operator import itemgetter, not_, or_
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..partition import indistinguished_after_split, pairs_within
+from ..partition import pairs_within
 from ..sim.responses import PASS, ResponseTable, Signature
 from .base import Procedure1Run
 
@@ -41,6 +59,34 @@ from .base import Procedure1Run
 #: which is almost always all-ones anyway and not worth maintaining.
 EXACT_UNION_LIMIT = 16
 
+#: Procedure 1 scores entry-major while the faults in classes of size
+#: >= 2 number more than this many times the test's detected entries.
+#: 2 timed best, or within noise, on every table measured
+#: (docs/kernels.md); 1 keeps a table whose never-split faults outnumber
+#: every test's entries in the sweep for the whole restart.
+HANDOVER_RATIO = 2
+
+
+def _select(dist: List[int], lower: int) -> Tuple[int, int, int, int]:
+    """The selection loop, bit-for-bit as in the naive path.
+
+    First maximum wins; ``lower`` consecutive non-improvements cut off.
+    Returns ``(best, best_index, evaluated, cutoffs)``.
+    """
+    best = -1
+    best_index = 0
+    consecutive = 0
+    for t, d in enumerate(dist):
+        if d > best:
+            best = d
+            best_index = t
+            consecutive = 0
+        elif d < best:
+            consecutive += 1
+            if consecutive >= lower:
+                return best, best_index, t + 1, 1
+    return best, best_index, len(dist), 0
+
 
 class PackedBackend:
     """Interned-column kernels (see the module docstring)."""
@@ -48,8 +94,9 @@ class PackedBackend:
     name = "packed"
 
     def prepare(self, table: ResponseTable) -> None:
-        """Materialise the interned columns (idempotent, cached on the table)."""
-        table.interned  # noqa: B018 - touch to materialise the cache
+        """Materialise the interned columns and their detected entries
+        (idempotent, cached on the table)."""
+        table.interned.entries  # noqa: B018 - touch to materialise the cache
 
     # ------------------------------------------------------------------
     # Procedure 1
@@ -62,24 +109,8 @@ class PackedBackend:
         timings: Optional[Dict[str, float]] = None,
     ) -> Procedure1Run:
         it = table.interned
-        n, cols, sigs = it.n_faults, it.cols, it.sigs
-        det_get = it.det_words.__getitem__
-
-        classes: List[List[int]]
-        getters: List[Optional[itemgetter]]
-        if n >= 2:
-            members0 = list(range(n))
-            classes = [members0]
-            getters = [itemgetter(*members0)]
-            duws = [
-                -1
-                if n > EXACT_UNION_LIMIT
-                else reduce(or_, map(det_get, members0), 0)
-            ]
-            live = [0]
-        else:
-            classes, getters, duws, live = [], [], [], []
-        dead = 0
+        n, cols, sigs, entries = it.n_faults, it.cols, it.sigs, it.entries
+        order = list(order)
 
         distinguished = 0
         evaluated = 0
@@ -87,10 +118,93 @@ class PackedBackend:
         baselines: List[Signature] = [PASS] * it.n_tests
         winners: List[Tuple[int, int]] = []
 
-        for j in order:
+        # Entry-major phase: a class label per fault and a size per label.
+        # Label 0 collects the faults split off alone, so their entries
+        # drop out of the counts; a fault left behind alone keeps its
+        # label, whose size 1 makes it score nothing.
+        labels = [1 if n >= 2 else 0] * n
+        sizes = [0, n]
+        live_faults = n if n >= 2 else 0
+        label_of = labels.__getitem__
+        handover = len(order)
+        for position, j in enumerate(order):
+            faults, ids = entries[j]
+            if live_faults <= HANDOVER_RATIO * len(faults):
+                handover = position
+                break
+            if timings is not None:
+                t0 = time.perf_counter()
+            gathered = list(map(label_of, faults))
+            class_counts = Counter(filter(None, gathered))
+            pair_counts = Counter(compress(zip(gathered, ids), gathered))
+            dist = [0] * len(sigs[j])
+            for (c, sid), a in pair_counts.items():
+                dist[sid] += a * (sizes[c] - a)
+            pass_dist = 0
+            for c, d in class_counts.items():
+                pass_dist += d * (sizes[c] - d)
+            dist[0] = pass_dist
+            if timings is not None:
+                timings["scoring"] = timings.get("scoring", 0.0) + (
+                    time.perf_counter() - t0
+                )
+
+            best, best_index, seen, cut = _select(dist, lower)
+            evaluated += seen
+            cutoffs += cut
+            baselines[j] = sigs[j][best_index]
+            if best <= 0:
+                continue
+            winners.append((j, best_index))
+            if best_index:
+                moving = {
+                    c: a for (c, sid), a in pair_counts.items() if sid == best_index
+                }
+                movers = compress(
+                    zip(faults, gathered), map(best_index.__eq__, ids)
+                )
+            else:
+                moving = class_counts
+                movers = zip(faults, gathered)
+            new_label: Dict[int, int] = {}
+            for c, a in moving.items():
+                s = sizes[c]
+                if a == s:
+                    continue
+                distinguished += a * (s - a)
+                sizes[c] = s - a
+                if a == 1:
+                    new_label[c] = 0
+                else:
+                    new_label[c] = len(sizes)
+                    sizes.append(a)
+                live_faults -= (a == 1) + (s - a == 1)
+            for i, c in movers:
+                label = new_label.get(c)
+                if label is not None:
+                    labels[i] = label
+
+        if handover == len(order):
+            return Procedure1Run(
+                baselines, distinguished, evaluated, cutoffs, winners
+            )
+
+        # Hand-over: the member lists of the live classes, built once.
+        det_get = it.det_words.__getitem__
+        classes: List[List[int]] = [[] for _ in sizes]
+        for i, c in enumerate(labels):
+            classes[c].append(i)
+        live = [c for c, members in enumerate(classes) if c and len(members) >= 2]
+        getters: List[Optional[itemgetter]] = [None] * len(classes)
+        duws = [0] * len(classes)
+        for c in live:
+            getters[c] = itemgetter(*classes[c])
+            duws[c] = reduce(or_, map(det_get, classes[c]), 0)
+        dead = 0
+
+        for j in order[handover:]:
             colj = cols[j]
-            ncand = len(sigs[j])
-            dist = [0] * ncand
+            dist = [0] * len(sigs[j])
             split_info: List[Tuple[int, tuple]] = []
             si_append = split_info.append
 
@@ -129,23 +243,9 @@ class PackedBackend:
                     time.perf_counter() - t0
                 )
 
-            # The selection loop, bit-for-bit as in the naive path: first
-            # maximum wins, LOWER consecutive non-improvements cut off.
-            best = -1
-            best_index = 0
-            consecutive = 0
-            for t in range(ncand):
-                evaluated += 1
-                d = dist[t]
-                if d > best:
-                    best = d
-                    best_index = t
-                    consecutive = 0
-                elif d < best:
-                    consecutive += 1
-                    if consecutive >= lower:
-                        cutoffs += 1
-                        break
+            best, best_index, seen, cut = _select(dist, lower)
+            evaluated += seen
+            cutoffs += cut
             baselines[j] = sigs[j][best_index]
 
             if best > 0:
@@ -203,13 +303,25 @@ class PackedBackend:
     def refine_scores(
         self, table: ResponseTable, test_index: int, partition
     ) -> List[int]:
-        return interned_refine_scores(table, test_index, partition)
+        it = table.interned
+        colj = it.cols[test_index]
+        dist = [0] * it.n_candidates(test_index)
+        for members in partition.classes:
+            s = len(members)
+            if s < 2:
+                continue
+            values = [colj[i] for i in members]
+            if values.count(values[0]) == s:
+                continue
+            for sid, a in Counter(values).items():
+                dist[sid] += a * (s - a)
+        return dist
 
     def candidate_distances(
         self, table: ResponseTable, test_index: int, partition
     ) -> List[Tuple[int, Signature, List[int]]]:
         it = table.interned
-        dist = interned_refine_scores(table, test_index, partition)
+        dist = self.refine_scores(table, test_index, partition)
         groups = table.failing_groups(test_index)
         detected = [i for group in groups for i in group]
         candidates = [(dist[0], PASS, detected)]
@@ -218,61 +330,26 @@ class PackedBackend:
         return candidates
 
     # ------------------------------------------------------------------
-    # indistinguished-pair counts via partition refinement
+    # indistinguished-pair counts
     # ------------------------------------------------------------------
-    def indistinguished_for(
-        self, table: ResponseTable, baselines: Sequence[Signature]
-    ) -> int:
-        it = table.interned
-        baseline_ids = [
-            it.sig_ids[j].get(tuple(baseline), -1)
-            for j, baseline in enumerate(baselines)
-        ]
-        classes = _initial_classes(it.n_faults)
-        for j, baseline_id in enumerate(baseline_ids):
-            if not classes:
-                break
-            if baseline_id < 0:
-                # A baseline outside Z_j sets every row bit: no split.
-                continue
-            colj = it.cols[j]
-            refined: List[List[int]] = []
-            for members in classes:
-                same = [i for i in members if colj[i] == baseline_id]
-                if len(same) in (0, len(members)):
-                    refined.append(members)
-                    continue
-                if len(same) > 1:
-                    refined.append(same)
-                if len(members) - len(same) > 1:
-                    same_set = set(same)
-                    refined.append([i for i in members if i not in same_set])
-            classes = refined
-        return sum(pairs_within(len(members)) for members in classes)
-
     def passfail_indistinguished(self, table: ResponseTable) -> int:
-        groups: Dict[int, int] = {}
-        for word in table.interned.det_words:
-            groups[word] = groups.get(word, 0) + 1
-        return sum(pairs_within(count) for count in groups.values())
+        return _grouped_pairs(table.interned.det_words)
 
     def full_indistinguished(self, table: ResponseTable) -> int:
         it = table.interned
-        classes = _initial_classes(it.n_faults)
-        for j in range(it.n_tests):
-            if not classes:
-                break
-            colj = it.cols[j]
-            refined: List[List[int]] = []
-            for members in classes:
-                buckets: Dict[int, List[int]] = {}
-                for i in members:
-                    buckets.setdefault(colj[i], []).append(i)
-                for bucket in buckets.values():
-                    if len(bucket) > 1:
-                        refined.append(bucket)
-            classes = refined
-        return sum(pairs_within(len(members)) for members in classes)
+        if not it.cols:
+            return pairs_within(it.n_faults)
+        # Every byte lane of every column as a string of one character per
+        # fault: a fault's full row becomes one short string, which counts
+        # in a third of the memory a tuple of ids takes.
+        planes = []
+        for col in it.cols:
+            raw = col.tobytes()
+            planes.extend(
+                raw[lane :: col.itemsize].decode("latin-1")
+                for lane in range(col.itemsize)
+            )
+        return _grouped_pairs(map("".join, zip(*planes)))
 
     # ------------------------------------------------------------------
     # Procedure 2
@@ -298,15 +375,7 @@ class PackedBackend:
 
             return NaiveBackend().replace(table, baselines, max_passes)
 
-        rows = [0] * n
-        for j in range(k):
-            colj = it.cols[j]
-            baseline_id = current_ids[j]
-            bit = 1 << j
-            for i in range(n):
-                if colj[i] != baseline_id:
-                    rows[i] |= bit
-
+        rows = it.rows(current_ids)
         replacements = 0
         passes = 0
         attempts = 0
@@ -315,91 +384,40 @@ class PackedBackend:
             improved = False
             for j in range(k):
                 colj = it.cols[j]
-                ncand = it.n_candidates(j)
                 mask = ((1 << k) - 1) ^ (1 << j)
-                outside: Dict[int, List[int]] = {}
-                for i in range(n):
-                    outside.setdefault(rows[i] & mask, []).append(i)
-                class_sizes: List[int] = []
-                per_id: Dict[int, List[Tuple[int, int]]] = {}
-                base_indist = 0
-                for cid, members in enumerate(outside.values()):
-                    size = len(members)
-                    class_sizes.append(size)
-                    base_indist += pairs_within(size)
-                    counts: Dict[int, int] = {}
-                    for i in members:
-                        sid = colj[i]
-                        counts[sid] = counts.get(sid, 0) + 1
-                    for sid, count in counts.items():
-                        per_id.setdefault(sid, []).append((cid, count))
+                # Classes of the rows with bit j masked out; a class of
+                # size s with a members answering id z loses a * (s - a)
+                # indistinguished pairs when z is test j's baseline.
+                outside = list(map(mask.__and__, rows))
+                class_sizes = Counter(outside)
+                dist = [0] * it.n_candidates(j)
+                for (key, sid), a in Counter(zip(outside, colj)).items():
+                    dist[sid] += a * (class_sizes[key] - a)
                 best_id = current_ids[j]
-                best_indist = indistinguished_after_split(
-                    per_id.get(best_id, ()), class_sizes, base_indist
-                )
-                for sid in range(ncand):
+                best_dist = dist[best_id]
+                for sid, d in enumerate(dist):
                     if sid == current_ids[j]:
                         continue
                     attempts += 1
-                    indist = indistinguished_after_split(
-                        per_id.get(sid, ()), class_sizes, base_indist
-                    )
-                    if indist < best_indist:
-                        best_indist = indist
+                    if d > best_dist:
+                        best_dist = d
                         best_id = sid
                 if best_id != current_ids[j]:
                     improved = True
                     replacements += 1
                     current_ids[j] = best_id
                     bit = 1 << j
-                    for i in range(n):
-                        if colj[i] != best_id:
-                            rows[i] |= bit
-                        else:
-                            rows[i] &= mask
+                    rows = [
+                        row & mask if sid == best_id else row | bit
+                        for row, sid in zip(rows, colj)
+                    ]
             if not improved:
                 break
-        row_groups: Dict[int, int] = {}
-        for row in rows:
-            row_groups[row] = row_groups.get(row, 0) + 1
-        indistinguished = sum(
-            pairs_within(count) for count in row_groups.values()
-        )
-        distinguished = pairs_within(n) - indistinguished
+        distinguished = pairs_within(n) - _grouped_pairs(rows)
         final = [it.sigs[j][current_ids[j]] for j in range(k)]
         return final, distinguished, passes, replacements, attempts
 
 
-def _initial_classes(n_faults: int) -> List[List[int]]:
-    return [list(range(n_faults))] if n_faults >= 2 else []
-
-
-def interned_refine_scores(
-    table: ResponseTable, test_index: int, partition
-) -> List[int]:
-    """Class-major ``dist(z)`` over interned columns, one pass per test.
-
-    ``dist[sid]`` is the number of still-indistinguished pairs of
-    ``partition`` that candidate ``sid`` of ``Z_j`` splits (id 0 is the
-    fault-free response).  Shared by the ``packed`` and ``vector``
-    backends' :meth:`refine_scores`; byte-identical to the naive
-    reference scoring by the differential tests in ``tests/kernels``.
-    """
-    it = table.interned
-    colj = it.cols[test_index]
-    dist = [0] * it.n_candidates(test_index)
-    for members in partition.classes:
-        s = len(members)
-        if s < 2:
-            continue
-        values = [colj[i] for i in members]
-        first = values[0]
-        a0 = values.count(first)
-        if a0 == s:
-            continue
-        counts: Dict[int, int] = {}
-        for sid in values:
-            counts[sid] = counts.get(sid, 0) + 1
-        for sid, a in counts.items():
-            dist[sid] += a * (s - a)
-    return dist
+def _grouped_pairs(rows) -> int:
+    """Indistinguished pairs of equal rows: ``sum C(count, 2)``."""
+    return sum(pairs_within(count) for count in Counter(rows).values())

@@ -75,10 +75,10 @@ class ResponseTable:
         good = {net: simulator.good_values[net] for net in netlist.outputs}
         table = cls(netlist.outputs, faults, tests, failing, good)
         # Pre-materialise the default backend's cached view (interned
-        # columns for packed, plus the word-array layout for vector)
-        # while the table is hot, so builds — and the worker processes a
-        # parallel build pickles the table to — never pay the packing
-        # cost inside a timed procedure.
+        # columns and their detected entries for packed) while the table
+        # is hot, so builds — and the worker processes a parallel build
+        # pickles the table to — never pay the packing cost inside a
+        # timed procedure.
         from ..kernels import available_backends, default_backend_name, get_backend
 
         name = default_backend_name()
@@ -118,6 +118,13 @@ class ResponseTable:
             word |= 1 << j
         return word
 
+    def failing_map(self, fault_index: int) -> Dict[int, Signature]:
+        """``test -> signature`` of every test that detects the fault.
+
+        The table's own dict, in insertion order; callers must not mutate it.
+        """
+        return self._failing[fault_index]
+
     def failing_items(self, fault_index: int) -> List[Tuple[int, Signature]]:
         """``(test, signature)`` of every test that detects the fault, in test order."""
         return sorted(self._failing[fault_index].items())
@@ -155,6 +162,17 @@ class ResponseTable:
     # per-test grouping (the candidate sets Z_j)
     # ------------------------------------------------------------------
     def _group(self, test_index: int) -> None:
+        interned = self._interned
+        if interned is not None:
+            # Interned ids are already in first-fault order: one pass over
+            # the test's detected entries instead of one lookup per fault.
+            signatures = interned.sigs[test_index][1:]
+            members: List[List[int]] = [[] for _ in signatures]
+            for i, sid in zip(*interned.entries[test_index]):
+                members[sid - 1].append(i)
+            self._signature_cache[test_index] = signatures
+            self._groups_cache[test_index] = members
+            return
         groups: Dict[Signature, List[int]] = {}
         for i, row in enumerate(self._failing):
             sig = row.get(test_index)

@@ -62,7 +62,7 @@ from ..dictionaries.full import FullDictionary
 from ..dictionaries.passfail import PassFailDictionary
 from ..dictionaries.samediff import BuildReport, SameDifferentDictionary
 from ..faults.model import Fault
-from ..kernels.interning import InternedTable
+from ..kernels.interning import InternedTable, id_typecode
 from ..obs import get_default_registry
 from ..sim.patterns import TestSet
 from ..sim.responses import PASS, ResponseTable, Signature
@@ -95,7 +95,16 @@ class ArtifactHashError(ArtifactError):
 # content hashing (the cache key)
 # ----------------------------------------------------------------------
 def _canonical(doc: object) -> bytes:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    return json.dumps(
+        doc, sort_keys=True, separators=(",", ":"), default=_as_list
+    ).encode()
+
+
+def _as_list(value: object) -> list:
+    """Id columns (:class:`array.array`) hash as the lists they hold."""
+    if isinstance(value, array):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _build_key(kind: str, config: DictionaryConfig) -> Dict[str, object]:
@@ -210,8 +219,6 @@ def semantic_digest(built: BuiltDictionary) -> str:
 # ----------------------------------------------------------------------
 # the payload: bit-packed id columns
 # ----------------------------------------------------------------------
-#: Array typecode per id lane size in bytes (unsigned, native order).
-_LANE_CODES = {array(code).itemsize: code for code in "QLIHB"}
 #: ASCII binary digits -> the bit values 0 and 1.
 _DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -244,19 +251,21 @@ def pack_columns(
 
 def unpack_columns(
     payload: Union[bytes, memoryview], widths: Sequence[int], n_faults: int
-) -> List[List[int]]:
+) -> List[array]:
     """Invert :func:`pack_columns`: each column decoded from its own bytes.
 
     Only the byte range holding column ``j`` is read, so no integer
     larger than one column is ever built.  Bits past the payload read as
-    zero; the caller checks the declared bit count first.
+    zero; the caller checks the declared bit count first.  Each column
+    is an unsigned array of the narrowest lane that holds ``width`` bits,
+    the interned columns' own layout.
     """
     cols = []
     position = 0
     for width in widths:
         bits = width * n_faults
         if not bits:
-            cols.append([0] * n_faults)
+            cols.append(array("B", bytes(n_faults)))
             continue
         chunk = int.from_bytes(
             payload[position >> 3 : (position + bits + 7) >> 3], "little"
@@ -268,7 +277,7 @@ def unpack_columns(
     return cols
 
 
-def _unpack_ids(chunk: int, width: int, count: int) -> List[int]:
+def _unpack_ids(chunk: int, width: int, count: int) -> array:
     """The ``count`` ids of ``width`` bits packed LSB-first in ``chunk``.
 
     One pass per bit position, not per id: the binary digits of ``chunk``
@@ -278,9 +287,8 @@ def _unpack_ids(chunk: int, width: int, count: int) -> List[int]:
     :mod:`array`.
     """
     digits = format(chunk, f"0{width * count}b").encode()
-    lane = 1
-    while 8 * lane < width:
-        lane *= 2
+    ids = array(id_typecode(1 << width))
+    lane = ids.itemsize
     spread = bytearray(count * lane)
     lanes = 0
     for r in range(width):  # the most significant bit of every id first
@@ -289,11 +297,10 @@ def _unpack_ids(chunk: int, width: int, count: int) -> List[int]:
             spread[lane - 1 :: lane] = plane
             plane = spread
         lanes = (lanes << 1) | int.from_bytes(plane, "big")
-    ids = array(_LANE_CODES[lane])
     ids.frombytes(lanes.to_bytes(count * lane, "little"))
     if sys.byteorder == "big":
         ids.byteswap()
-    return ids.tolist()
+    return ids
 
 
 # ----------------------------------------------------------------------

@@ -73,27 +73,10 @@ def _assert_matches_golden(backend):
     assert len(current["rows"]) == len(golden["rows"])
 
 
-@pytest.mark.parametrize("backend", ["packed", "naive", "vector"])
+@pytest.mark.parametrize("backend", ["packed", "naive"])
 def test_table6_matches_golden(backend):
     """Every kernel backend must reproduce the fixture bit for bit."""
     _assert_matches_golden(backend)
-
-
-def test_table6_matches_golden_vector_fallback():
-    """The vector backend's no-numpy path, pinned against the fixture.
-
-    Numpy imports are blocked while the fallback backend is registered
-    and constructed, so this leg runs the pure-Python word-array sweep
-    exactly as a numpy-less interpreter would.
-    """
-    from tests.util import fallback_vector_registered, numpy_import_blocked
-
-    with fallback_vector_registered():
-        with numpy_import_blocked():
-            from repro.kernels import get_backend
-
-            assert not get_backend("vector").uses_numpy
-            _assert_matches_golden("vector")
 
 
 if __name__ == "__main__":

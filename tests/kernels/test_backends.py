@@ -8,7 +8,6 @@ from repro.kernels import (
     KernelBackend,
     NaiveBackend,
     PackedBackend,
-    VectorBackend,
     available_backends,
     backend_choices_help,
     backend_descriptions,
@@ -17,21 +16,19 @@ from repro.kernels import (
     register_backend,
 )
 from repro.kernels.base import _DESCRIPTIONS, _INSTANCES, _REGISTRY
-from tests.util import numpy_import_blocked
 
 
 class TestRegistry:
     def test_all_builtin_backends_registered(self):
-        assert available_backends() == ["naive", "packed", "vector"]
+        assert available_backends() == ["naive", "packed"]
 
     def test_get_backend_by_name(self):
         assert isinstance(get_backend("naive"), NaiveBackend)
         assert isinstance(get_backend("packed"), PackedBackend)
-        assert isinstance(get_backend("vector"), VectorBackend)
 
     def test_instances_are_cached(self):
         assert get_backend("packed") is get_backend("packed")
-        assert get_backend("vector") is get_backend("vector")
+        assert get_backend("naive") is get_backend("naive")
 
     def test_unknown_name_lists_available(self):
         with pytest.raises(KeyError, match="naive"):
@@ -71,10 +68,6 @@ class TestDefaultSelection:
     def test_explicit_name_beats_env(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "naive")
         assert get_backend("packed").name == "packed"
-
-    def test_env_selects_vector(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "vector")
-        assert get_backend().name == "vector"
 
 
 class TestHelpTextDrift:
@@ -129,18 +122,3 @@ class TestHelpTextDrift:
                     actions.append(sub)
         return actions
 
-
-class TestVectorConstruction:
-    def test_registry_instance_uses_numpy_when_available(self):
-        backend = get_backend("vector")
-        try:
-            import numpy  # noqa: F401
-
-            assert backend.uses_numpy
-        except ImportError:
-            assert not backend.uses_numpy
-
-    def test_blocked_numpy_selects_the_python_path(self):
-        with numpy_import_blocked():
-            backend = VectorBackend()
-        assert not backend.uses_numpy

@@ -1,8 +1,7 @@
 """Differential tests for the class-major ``refine_scores`` primitive.
 
-Every backend's ``refine_scores`` — the vector backend both with numpy
-and with numpy blocked — must be byte-identical to the naive reference,
-and to the eager ``candidate_distances`` dists it replaces.  Partitions
+Every backend's ``refine_scores`` must be byte-identical to the naive
+reference, and to the eager ``candidate_distances`` dists it replaces.  Partitions
 are driven to arbitrary refinement depths first, so the equality holds
 mid-build, not just on the trivial one-class state.
 """
@@ -16,19 +15,9 @@ from hypothesis import strategies as st
 from repro.dictionaries.samediff import _candidate_distances, _refine_scores
 from repro.kernels import get_backend
 from repro.partition import FaultPartition
-from tests.util import numpy_free_vector_backend, random_table
+from tests.util import random_table
 
-NAIVE = get_backend("naive")
-PACKED = get_backend("packed")
-VECTOR = get_backend("vector")
-VECTOR_FALLBACK = numpy_free_vector_backend()
-
-BACKENDS = {
-    "naive": NAIVE,
-    "packed": PACKED,
-    "vector": VECTOR,
-    "vector-fallback": VECTOR_FALLBACK,
-}
+BACKENDS = {"naive": get_backend("naive"), "packed": get_backend("packed")}
 
 
 def _partition_at_depth(table, depth: int) -> FaultPartition:

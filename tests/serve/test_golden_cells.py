@@ -83,27 +83,19 @@ def test_capacity_one_pool_serves_golden_cells_bit_for_bit(golden_artifacts):
         assert name in outcome.exact  # the injected fault names itself
 
 
-def test_vector_backend_builds_and_serves_identical_cells(golden_artifacts, tmp_path):
+def test_naive_backend_builds_and_serves_identical_cells(golden_artifacts, tmp_path):
     """The backend used to *build* must be invisible at serve time.
 
-    Each golden cell is rebuilt under the vector backend (and, for the
-    first cell, under its numpy-blocked fallback), packed, and served —
-    the artifacts' dictionaries and every served outcome must equal the
-    default-backend build's.
+    Each golden cell is rebuilt under the naive reference backend,
+    packed, and served — the artifacts' dictionaries and every served
+    outcome must equal the default-backend build's.
     """
-    from tests.util import fallback_vector_registered, numpy_import_blocked
-
-    legs = [("vector", cell) for cell in CELLS]
-    legs.append(("vector-fallback", CELLS[0]))
-    for leg, cell in legs:
+    leg = "naive"
+    for cell in CELLS:
         circuit, test_type = cell
         _, table = response_table_for(circuit, test_type, SEED)
-        config = DictionaryConfig(seed=SEED, calls1=CALLS, backend="vector")
-        if leg == "vector-fallback":
-            with fallback_vector_registered(), numpy_import_blocked():
-                rebuilt = build(table, config=config)
-        else:
-            rebuilt = build(table, config=config)
+        config = DictionaryConfig(seed=SEED, calls1=CALLS, backend=leg)
+        rebuilt = build(table, config=config)
         _, reference = golden_artifacts[cell]
         assert rebuilt.dictionary.baselines == reference.dictionary.baselines, leg
         path = tmp_path / f"{circuit}-{test_type}-{leg}.rfd"

@@ -14,9 +14,10 @@ from repro.store import (
     ArtifactVersionError,
     load_artifact,
     save_artifact,
+    semantic_digest,
     table_content_hash,
 )
-from tests.util import random_table
+from tests.util import distinct_table, random_table
 
 
 def _built(n_faults=8, n_tests=6, n_outputs=3, seed=1, density=0.5,
@@ -40,6 +41,7 @@ def _assert_round_trip(built, path):
     assert loaded.table.good_output_words == built.table.good_output_words
     left, right = loaded.table.interned, built.table.interned
     assert left.cols == right.cols
+    assert [c.typecode for c in left.cols] == [c.typecode for c in right.cols]
     assert left.sigs == right.sigs
     assert left.sig_ids == right.sig_ids
     assert left.det_words == right.det_words
@@ -64,6 +66,15 @@ class TestRoundTrip:
         # ...and with a wrong one refuses.
         with pytest.raises(ArtifactHashError):
             load_artifact(tmp_path / "a.rfd", expected_hash="0" * 64)
+
+    @pytest.mark.parametrize("n_ids, typecode", [(256, "B"), (257, "H")])
+    def test_byte_lane_boundary(self, tmp_path, n_ids, typecode):
+        """|Z_j| = 256 is the widest one-byte column; 257 takes two bytes."""
+        table = distinct_table(n_ids - 1, 2)
+        built = build(table, config=DictionaryConfig(seed=0, calls1=2))
+        assert {col.typecode for col in table.interned.cols} == {typecode}
+        loaded = _assert_round_trip(built, tmp_path / "a.rfd")
+        assert semantic_digest(loaded) == semantic_digest(built)
 
     def test_save_is_deterministic(self, tmp_path):
         built = _built()

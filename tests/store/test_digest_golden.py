@@ -4,8 +4,7 @@ The fixture records, per build, the :func:`~repro.store.semantic_digest`
 (what the build produced: baselines, packed columns and the embedded
 report minus its timings) and the :func:`~repro.store.table_content_hash`
 (what it was built from) for ``repro.api.build`` at ``seed=0, calls=5``.
-Every kernel backend — and the vector backend with numpy blocked — must
-reproduce both values exactly, so a change to the seed streams, the
+Every kernel backend must reproduce both values exactly, so a change to the seed streams, the
 restart fold, Procedures 1/2, the interned columns or the report layout
 fails here even when every backend drifts together.
 
@@ -34,9 +33,8 @@ KIND = "same-different"
 #: Pinned builds: two bundled Table-6 cells and a small ITC-99 proxy.
 CASES = ("p208-diag", "p208-10det", "b14p-2000x32")
 
-#: Kernel legs; ``vector-no-numpy`` is the vector backend constructed,
-#: and its table laid out, with ``import numpy`` failing.
-LEGS = ("naive", "packed", "vector", "vector-no-numpy")
+#: Kernel legs: the reference and the production backend.
+LEGS = ("naive", "packed")
 
 
 def case_table(case):
@@ -65,17 +63,6 @@ def compute_case(case, backend="packed"):
     }
 
 
-def compute_leg(case, leg):
-    if leg != "vector-no-numpy":
-        return compute_case(case, leg)
-    from repro.kernels import get_backend
-    from tests.util import fallback_vector_registered, numpy_import_blocked
-
-    with fallback_vector_registered(), numpy_import_blocked():
-        assert not get_backend("vector").uses_numpy
-        return compute_case(case, "vector")
-
-
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN_PATH.read_text())
@@ -90,7 +77,7 @@ def test_fixture_covers_every_case(golden):
 @pytest.mark.parametrize("leg", LEGS)
 @pytest.mark.parametrize("case", CASES)
 def test_build_matches_pinned_digests(golden, case, leg):
-    got = compute_leg(case, leg)
+    got = compute_case(case, leg)
     want = golden["builds"][case]
     assert got == want, (
         f"{case} under {leg} drifted (got {got}, pinned {want}) — if "

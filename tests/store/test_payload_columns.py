@@ -109,7 +109,7 @@ def test_any_id_width_round_trips_at_any_bit_offset(data):
     cols, widths = [ids(lead), ids(width)], [lead, width]
     payload, bits = pack_columns(cols, widths)
     assert (payload, bits) == bitwriter_payload(cols, widths)
-    assert unpack_columns(payload, widths, n) == cols
+    assert [list(col) for col in unpack_columns(payload, widths, n)] == cols
 
 
 # ----------------------------------------------------------------------
@@ -148,7 +148,7 @@ def test_untouched_parts_reassemble_to_a_loadable_artifact(tmp_path):
     content_hash, header, payload = saved_parts(tmp_path)
     assert header["payload_bits"] == 6
     loaded = load_artifact_buffer(reassemble(content_hash, header, payload))
-    assert loaded.table.interned.cols == [[0, 1, 2]]
+    assert [list(col) for col in loaded.table.interned.cols] == [[0, 1, 2]]
 
 
 def test_signature_id_out_of_range(tmp_path):

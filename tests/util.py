@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import random
-import sys
-from contextlib import contextmanager
 
 from repro.api import DictionaryConfig, build
 from repro.faults import Fault
@@ -85,57 +83,3 @@ def distinct_table(n_faults, n_tests):
         tuple(f"z{o}" for o in range(max(n_faults, 1))),
         faults, tests, failing, good,
     )
-
-
-@contextmanager
-def numpy_import_blocked():
-    """Make ``import numpy`` raise ImportError inside the block.
-
-    Pins the vector backend's stdlib-``array`` fallback the way a
-    numpy-less interpreter would: a ``None`` entry in ``sys.modules``
-    makes any import attempt fail.  Restores the previous state (and
-    evicts nothing else) on exit.
-    """
-    had = "numpy" in sys.modules
-    previous = sys.modules.get("numpy")
-    sys.modules["numpy"] = None
-    try:
-        yield
-    finally:
-        if had:
-            sys.modules["numpy"] = previous
-        else:
-            del sys.modules["numpy"]
-
-
-def numpy_free_vector_backend():
-    """A ``VectorBackend`` constructed while ``import numpy`` fails.
-
-    The instance runs the pure-Python word-array path for its whole
-    life, exactly as it would on a numpy-less interpreter.
-    """
-    from repro.kernels.vector import VectorBackend
-
-    with numpy_import_blocked():
-        return VectorBackend()
-
-
-@contextmanager
-def fallback_vector_registered():
-    """Re-register ``vector`` as an instance built with numpy blocked.
-
-    Inside the block, ``get_backend("vector")`` — and therefore builds
-    with ``backend="vector"`` — run the pure-Python word-array path even
-    when numpy is importable.  The real registration is restored on exit.
-    """
-    from repro.kernels import register_backend
-    from repro.kernels.base import _DESCRIPTIONS
-    from repro.kernels.vector import VectorBackend
-
-    description = _DESCRIPTIONS.get("vector", "")
-    fallback = numpy_free_vector_backend()
-    register_backend("vector", lambda: fallback, description)
-    try:
-        yield
-    finally:
-        register_backend("vector", VectorBackend, description)
