@@ -33,10 +33,6 @@ PACKED = get_backend("packed")
 OTHERS = (PACKED,)
 
 
-def _backend_id(backend):
-    return backend.name
-
-
 @st.composite
 def tables(draw, min_faults=0, max_faults=14, min_tests=0, max_tests=7):
     n_faults = draw(st.integers(min_value=min_faults, max_value=max_faults))
@@ -60,20 +56,20 @@ def test_procedure1_identical(table, lower):
     reference = _run_tuple(NAIVE.procedure1(table, order, lower))
     for other in OTHERS:
         assert _run_tuple(other.procedure1(table, order, lower)) == reference, (
-            _backend_id(other)
+            other.name
         )
 
 
 @st.composite
 def handover_tables(draw):
-    """``(shape, order, table)`` with packed's Procedure 1 hand-over placed.
+    """``(shape, order, quiet, table)``: packed's Procedure 1 hand-over placed.
 
     Packed scores entry-major while the faults in classes of size >= 2
     number more than ``HANDOVER_RATIO`` times the current test's detected
     entries.  ``"first"`` makes the first test of ``order`` detect every
     fault; ``"mid"`` does that for a later test; ``"never"`` leaves so
-    many faults undetected by every test that they stay one live class
-    too large for any test's entries to reach.
+    many faults (``quiet`` of them) undetected by every test that they
+    stay one live class too large for any test's entries to reach.
     """
     shape = draw(st.sampled_from(["first", "mid", "never"]))
     n_faults = draw(st.integers(min_value=2, max_value=14))
@@ -107,7 +103,7 @@ def handover_tables(draw):
         failing,
         {f"z{o}": 0 for o in range(n_outputs)},
     )
-    return shape, order, table
+    return shape, order, quiet, table
 
 
 @settings(max_examples=60, deadline=None)
@@ -115,12 +111,11 @@ def handover_tables(draw):
 def test_procedure1_identical_across_the_handover(case, lower):
     """Same baselines, counts, winners and evaluated/cutoffs totals,
     wherever the entry-major phase hands over."""
-    shape, order, table = case
+    shape, order, quiet, table = case
     entries = [len(faults) for faults, _ in table.interned.entries]
     if shape == "first":
         assert entries[order[0]] == table.n_faults
     elif shape == "never":
-        quiet = HANDOVER_RATIO * table.n_faults // (HANDOVER_RATIO + 1) + 1
         assert HANDOVER_RATIO * max(entries) < quiet
     reference = _run_tuple(NAIVE.procedure1(table, order, lower))
     assert _run_tuple(PACKED.procedure1(table, order, lower)) == reference
@@ -138,7 +133,7 @@ def test_candidate_distances_identical(table, data):
             reference = NAIVE.candidate_distances(table, j, p)
             for other in OTHERS:
                 assert other.candidate_distances(table, j, p) == reference, (
-                    _backend_id(other)
+                    other.name
                 )
 
 
@@ -148,7 +143,7 @@ def test_pair_counts_identical(table):
     want_passfail = NAIVE.passfail_indistinguished(table)
     want_full = NAIVE.full_indistinguished(table)
     for other in OTHERS:
-        name = _backend_id(other)
+        name = other.name
         assert other.passfail_indistinguished(table) == want_passfail, name
         assert other.full_indistinguished(table) == want_full, name
 
@@ -161,7 +156,7 @@ def test_replace_identical(table, max_passes):
     reference = NAIVE.replace(table, baselines, max_passes)
     for other in OTHERS:
         assert other.replace(table, baselines, max_passes) == reference, (
-            _backend_id(other)
+            other.name
         )
 
 
@@ -216,7 +211,7 @@ class TestDegenerateTables:
             reference = _run_tuple(NAIVE.procedure1(table, range(4), 10))
             for backend in OTHERS:
                 run = backend.procedure1(table, range(4), 10)
-                assert _run_tuple(run) == reference, _backend_id(backend)
+                assert _run_tuple(run) == reference, backend.name
                 assert run.distinguished == 0
 
     def test_all_identical_column(self):
@@ -228,7 +223,7 @@ class TestDegenerateTables:
         reference = _run_tuple(NAIVE.procedure1(table, range(3), 10))
         for backend in OTHERS:
             run = backend.procedure1(table, range(3), 10)
-            assert _run_tuple(run) == reference, _backend_id(backend)
+            assert _run_tuple(run) == reference, backend.name
             assert run.winners == []
             assert run.baselines == [PASS] * 3 or all(
                 b == run.baselines[0] for b in run.baselines
@@ -252,7 +247,7 @@ class TestAdversarialShapes:
         for backend in OTHERS:
             assert _run_tuple(backend.procedure1(table, range(5), 10)) == (
                 reference
-            ), _backend_id(backend)
+            ), backend.name
         self._builds_agree(table)
 
     def test_all_pass_columns(self):
@@ -276,7 +271,7 @@ class TestAdversarialShapes:
         for backend in OTHERS:
             assert _run_tuple(backend.procedure1(table, range(3), 10)) == (
                 reference
-            ), _backend_id(backend)
+            ), backend.name
         self._builds_agree(table)
 
     def test_two_byte_columns_pair_counts(self):

@@ -4,9 +4,9 @@ The fixture records, per build, the :func:`~repro.store.semantic_digest`
 (what the build produced: baselines, packed columns and the embedded
 report minus its timings) and the :func:`~repro.store.table_content_hash`
 (what it was built from) for ``repro.api.build`` at ``seed=0, calls=5``.
-Every kernel backend must reproduce both values exactly, so a change to the seed streams, the
-restart fold, Procedures 1/2, the interned columns or the report layout
-fails here even when every backend drifts together.
+Every kernel backend must reproduce both values exactly, so a change to
+the seed streams, the restart fold, Procedures 1/2, the interned columns
+or the report layout fails here even when every backend drifts together.
 
 Artifact file *bytes* are deliberately not pinned: the embedded report
 carries ``procedure1_seconds``, which varies run to run.
