@@ -15,6 +15,7 @@ not charged to any of them, again following the paper.
 from __future__ import annotations
 
 import abc
+import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -61,6 +62,7 @@ class FaultDictionary(abc.ABC):
         self.table = table
         self.faults: Sequence[Fault] = table.faults
         self._row_index: Optional[Dict[object, List[int]]] = None
+        self._value_masks: Optional[List[List[int]]] = None
 
     # -- identity ------------------------------------------------------
     @property
@@ -108,6 +110,37 @@ class FaultDictionary(abc.ABC):
     def distinguished_pairs(self) -> int:
         return total_pairs(self.table.n_faults) - self.indistinguished_pairs()
 
+    # -- per-test value masks (adaptive sessions) --------------------------
+    def value_masks(self) -> List[List[int]]:
+        """Per test ``j``: one fault bitmask per value the rows store at ``j``.
+
+        Bit ``i`` of a mask is set when fault ``i`` stores that value, so
+        each test's masks partition the faults.  Derived one interned
+        column at a time on first use and cached on the dictionary; two
+        threads racing the first use each store an equal list, and either
+        one serves.
+        """
+        masks = self._value_masks
+        if masks is None:
+            interned = self.table.interned
+            masks = self._value_masks = [
+                self._column_masks(interned, j) for j in range(interned.n_tests)
+            ]
+        return masks
+
+    def _column_masks(self, interned, test_index: int) -> List[int]:
+        """The masks of one test, one per signature id of ``Z_j``: exact
+        response agreement, the conservative choice for an organisation
+        that does not refine it (it never widens a set a coarser
+        encoding would keep)."""
+        return interned.id_masks(test_index)
+
+    def match_mask(self, test_index: int, signature: Signature) -> int:
+        """The faults whose stored value at one test equals the value an
+        observed ``signature`` encodes to (``0`` when none can)."""
+        sid = self.table.interned.sig_ids[test_index].get(signature)
+        return 0 if sid is None else self.value_masks()[test_index][sid]
+
     # -- diagnosis ---------------------------------------------------------
     def exact_candidates(self, signatures: Sequence[Signature]) -> List[int]:
         """Faults whose stored row matches the observed response exactly.
@@ -140,3 +173,25 @@ class ScoredCandidate:
 
     fault_index: int
     score: int
+
+
+def rank_int_rows(
+    rows: Sequence[int], observed: int, n_tests: int, limit: int
+) -> List[ScoredCandidate]:
+    """:meth:`FaultDictionary.ranked_candidates` for one-bit-per-test rows.
+
+    A row disagrees with the observed word on ``(row ^ observed).bit_count()``
+    tests.  Each fault folds into one int key, ``disagreements·n + index``,
+    and ``heapq.nsmallest`` keeps the best ``limit``: score descending,
+    then fault index ascending, with no object per fault.
+    """
+    n = len(rows)
+    keys = [
+        misses * n + index
+        for index, misses in enumerate(map(int.bit_count, map(observed.__xor__, rows)))
+    ]
+    best = heapq.nsmallest(limit, keys) if limit >= 0 else sorted(keys)[:limit]
+    return [
+        ScoredCandidate(index, n_tests - misses)
+        for misses, index in (divmod(key, n) for key in best)
+    ]

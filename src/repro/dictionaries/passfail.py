@@ -11,7 +11,7 @@ from typing import List, Sequence
 
 from ..kernels import get_backend
 from ..sim.responses import PASS, ResponseTable, Signature
-from .base import FaultDictionary
+from .base import FaultDictionary, rank_int_rows
 
 
 class PassFailDictionary(FaultDictionary):
@@ -49,3 +49,15 @@ class PassFailDictionary(FaultDictionary):
     def match_score(self, fault_index: int, signatures: Sequence[Signature]) -> int:
         disagree = bin(self._rows[fault_index] ^ self.encode_response(signatures))
         return self.table.n_tests - disagree.count("1")
+
+    def ranked_candidates(self, signatures: Sequence[Signature], limit: int = 10):
+        return rank_int_rows(
+            self._rows, self.encode_response(signatures), self.table.n_tests, limit
+        )
+
+    def _column_masks(self, interned, test_index: int) -> List[int]:
+        """``[passes, detected]``: the detection bit ``j`` is the value."""
+        return interned.split_masks(test_index, 0)
+
+    def match_mask(self, test_index: int, signature: Signature) -> int:
+        return self.value_masks()[test_index][signature != PASS]

@@ -52,7 +52,7 @@ from ..partition import (
     total_pairs,
 )
 from ..sim.responses import PASS, ResponseTable, Signature
-from .base import FaultDictionary
+from .base import FaultDictionary, rank_int_rows
 
 #: The selection procedures refine this partition engine in place, under
 #: its historical name.
@@ -121,19 +121,20 @@ class SameDifferentDictionary(FaultDictionary):
         return self.table.n_tests - disagree.count("1")
 
     def ranked_candidates(self, signatures: Sequence[Signature], limit: int = 10):
-        # Encode the observed response once and score every row against
-        # that word — the base implementation would re-encode per fault,
-        # which dominates the serve layer's warm-path lookup cost.
-        from .base import ScoredCandidate
+        return rank_int_rows(
+            self._rows, self.encode_response(signatures), self.table.n_tests, limit
+        )
 
-        observed = self.encode_response(signatures)
-        n_tests = self.table.n_tests
-        scored = [
-            ScoredCandidate(index, n_tests - bin(row ^ observed).count("1"))
-            for index, row in enumerate(self._rows)
+    def _column_masks(self, interned, test_index: int) -> List[int]:
+        """``[same, different]``: the row bit ``j`` is the value."""
+        return interned.split_masks(
+            test_index, interned.sig_ids[test_index].get(self.baselines[test_index])
+        )
+
+    def match_mask(self, test_index: int, signature: Signature) -> int:
+        return self.value_masks()[test_index][
+            signature != self.baselines[test_index]
         ]
-        scored.sort(key=lambda c: (-c.score, c.fault_index))
-        return scored[:limit]
 
     def baseline_vector(self, test_index: int) -> str:
         """The stored baseline output vector of one test, as a bit string."""

@@ -20,8 +20,11 @@ every signature with a small integer id *per test column*:
 Dictionary rows are read off the columns one column at a time
 (:meth:`InternedTable.rows`): the same/different row of every fault
 under a baseline id per test, with ``det_words`` as the all-PASS special
-case.  :attr:`InternedTable.entries` lists each test's detected
-``(fault, id)`` entries, the input of the entry-major Procedure 1 sweep.
+case.  The transpose — fault bitmasks per test — comes off the same
+columns (:meth:`InternedTable.split_masks`, :meth:`InternedTable.id_masks`);
+adaptive sessions narrow and score on those.
+:attr:`InternedTable.entries` lists each test's detected ``(fault, id)``
+entries, the input of the entry-major Procedure 1 sweep.
 
 Everything is stdlib lists, dicts, ints and arrays, so an interned table
 pickles with its :class:`ResponseTable` and ships to restart worker
@@ -65,8 +68,6 @@ class InternedTable:
     sigs: List[List[Signature]]
     #: Per test: signature -> id (includes PASS -> 0).
     sig_ids: List[Dict[Signature, int]]
-    #: Per fault: detection word (bit j = detected by test j).
-    det_words: List[int]
 
     def n_candidates(self, test_index: int) -> int:
         """``|Z_j|``: the fault-free response plus the distinct failing ones."""
@@ -77,17 +78,41 @@ class InternedTable:
         cls, n_faults: int, cols: List[array], sigs: List[List[Signature]]
     ) -> "InternedTable":
         """The view of id columns and their candidate sets alone: ``sig_ids``
-        and ``det_words`` are derived from them."""
-        table = cls(
+        are derived from them, ``det_words`` on first use."""
+        return cls(
             n_faults,
             len(cols),
             cols,
             sigs,
             [{sig: sid for sid, sig in enumerate(sigs_j)} for sigs_j in sigs],
-            [],
         )
-        table.det_words = table.rows([0] * len(cols))
-        return table
+
+    @property
+    def det_words(self) -> List[int]:
+        """Per fault: detection word (bit ``j`` set when test ``j`` detects it).
+
+        Interning lays them out; a view made :meth:`from_columns` derives
+        them on first use as ``rows([0] * n_tests)`` — a loaded
+        same/different artifact serves without ever reading them.  Cached
+        on the instance like :attr:`entries`, so they pickle with the view.
+        """
+        words = self.__dict__.get("_det_words")
+        if words is None:
+            words = self.__dict__["_det_words"] = self.rows([0] * self.n_tests)
+        return words
+
+    def _plane(self, test_index: int, flags: Sequence[str]) -> str:
+        """Column ``test_index`` as one character per fault, fault order:
+        ``flags[id]`` (``'0'`` or ``'1'``) for each fault's id.
+
+        A one-byte column is mapped by one ``bytes.translate``; wider
+        lanes go through the id -> flag table one id at a time.
+        """
+        col = self.cols[test_index]
+        if col.typecode == "B":
+            table = "".join(flags).encode().ljust(256, b"0")
+            return col.tobytes().translate(table).decode()
+        return "".join(map(flags.__getitem__, col))
 
     def rows(self, baseline_ids: Sequence[Optional[int]]) -> List[int]:
         """Per fault: bit ``j`` set when ``cols[j][i] != baseline_ids[j]``.
@@ -101,13 +126,54 @@ class InternedTable:
         """
         if not self.cols:
             return [0] * self.n_faults
-        planes = []
-        for j in range(self.n_tests - 1, -1, -1):  # test 0 is the lowest bit
-            flags = ["1"] * len(self.sigs[j])
-            if baseline_ids[j] is not None:
-                flags[baseline_ids[j]] = "0"
-            planes.append("".join(map(flags.__getitem__, self.cols[j])))
+        planes = [  # test 0 is the lowest bit
+            self._differ_plane(j, baseline_ids[j])
+            for j in range(self.n_tests - 1, -1, -1)
+        ]
         return list(map(int, map("".join, zip(*planes)), repeat(2)))
+
+    def _differ_plane(self, test_index: int, same_id: Optional[int]) -> str:
+        """``'1'`` for each fault whose id at ``test_index`` is not
+        ``same_id`` (every fault, for ``None``), ``'0'`` for the rest."""
+        flags = ["1"] * len(self.sigs[test_index])
+        if same_id is not None:
+            flags[same_id] = "0"
+        return self._plane(test_index, flags)
+
+    @staticmethod
+    def _mask(plane: str) -> int:
+        """A plane read as one int, bit ``i`` for fault ``i``."""
+        return int(plane[::-1], 2) if plane else 0
+
+    def split_masks(self, test_index: int, same_id: Optional[int]) -> List[int]:
+        """``[same, different]``: the faults whose id at ``test_index`` is
+        ``same_id``, and the rest — bit ``test_index`` of :meth:`rows`
+        under that id, transposed into one int per side.  A ``None`` id
+        puts every fault on the different side."""
+        different = self._mask(self._differ_plane(test_index, same_id))
+        return [different ^ ((1 << self.n_faults) - 1), different]
+
+    def id_masks(self, test_index: int) -> List[int]:
+        """Per id of ``Z_j``, in id order: the faults responding with it
+        (bit ``i`` set when ``cols[j][i] == id``).
+
+        Built from the ids' bit planes, high bit first: each level splits
+        every id range in two with one AND and one XOR, so a column costs
+        about ``4·|Z_j|`` big-int operations and ``log2 |Z_j|`` string
+        passes, with no step per (fault, id) pair.
+        """
+        z = len(self.sigs[test_index])
+        masks = [(1 << self.n_faults) - 1]
+        for b in range((z - 1).bit_length() - 1, -1, -1):
+            plane = self._mask(
+                self._plane(test_index, ["01"[v >> b & 1] for v in range(z)])
+            )
+            halves: List[int] = []
+            for mask in masks:
+                high = mask & plane
+                halves += (mask ^ high, high)
+            masks = halves[: -(-z >> b)]  # the ranges that start below z
+        return masks
 
     @property
     def entries(self) -> List[Tuple[array, array]]:
@@ -169,7 +235,8 @@ def intern_response_table(table: ResponseTable) -> InternedTable:
                 col[i] = sid
             cols.append(col)
             entries.append((array(index_code, faults), array(code, ids)))
-        interned = InternedTable(n, k, cols, sigs, sig_ids, det_words)
+        interned = InternedTable(n, k, cols, sigs, sig_ids)
+        interned.__dict__["_det_words"] = det_words
         interned.__dict__["_entries"] = entries
         registry.counter("kernel.tables_packed").inc()
     return interned

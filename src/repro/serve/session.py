@@ -13,6 +13,10 @@ organisation's own per-test semantics:
 * **same/different** — candidates must fall on the observed side of the
   test's baseline (the paper's ``b_i,j`` bit).
 
+Those semantics are the dictionary's per-test value masks
+(:meth:`~repro.dictionaries.base.FaultDictionary.value_masks`); the
+candidate set is one int bitmask narrowed and scored against them.
+
 The session also answers the operational questions: ``converged`` turns
 true when the last ``stall_after`` observations failed to shrink the
 candidate set (resolution has stopped improving — stop testing), and
@@ -35,13 +39,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import compress
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..dictionaries.base import FaultDictionary
-from ..dictionaries.passfail import PassFailDictionary
-from ..dictionaries.samediff import SameDifferentDictionary
 from ..obs import get_default_registry
-from ..sim.responses import PASS, Signature
+from ..sim.responses import Signature
 from . import metrics as M
 
 #: Valid ``suggest_next_test`` strategies, in documentation order.
@@ -95,7 +98,9 @@ class DiagnosisSession:
         self.table = dictionary.table
         self.stall_after = stall_after
         self.flip_budget = flip_budget
-        self.candidates: List[int] = list(range(self.table.n_faults))
+        self._masks = dictionary.value_masks()
+        #: Bit ``i`` set while fault ``i`` is a candidate.
+        self._alive = (1 << self.table.n_faults) - 1
         self.history: List[SessionUpdate] = []
         self._observed: Dict[int, Signature] = {}
         #: Per-candidate count of observations its stored row disagreed with.
@@ -105,28 +110,14 @@ class DiagnosisSession:
         registry = get_default_registry()
         registry.counter(M.SESSIONS).inc()
 
-    # ------------------------------------------------------------------
-    # per-test row semantics, by dictionary organisation
-    # ------------------------------------------------------------------
-    def _stored_value(self, fault_index: int, test_index: int) -> object:
-        """Fault ``fault_index``'s row value at one test, per dictionary kind."""
-        dictionary = self.dictionary
-        if isinstance(dictionary, SameDifferentDictionary):
-            return (dictionary.row(fault_index) >> test_index) & 1
-        if isinstance(dictionary, PassFailDictionary):
-            return self.table.signature(fault_index, test_index) != PASS
-        # Full dictionary — and the conservative fallback for any other
-        # organisation: exact response agreement (never widens a set a
-        # coarser encoding would keep).
-        return self.table.signature(fault_index, test_index)
+    @property
+    def candidates(self) -> List[int]:
+        """The surviving fault indices, ascending."""
+        return _members(self._alive)
 
-    def _observed_value(self, test_index: int, signature: Signature) -> object:
-        dictionary = self.dictionary
-        if isinstance(dictionary, SameDifferentDictionary):
-            return 0 if signature == dictionary.baselines[test_index] else 1
-        if isinstance(dictionary, PassFailDictionary):
-            return signature != PASS
-        return signature
+    @candidates.setter
+    def candidates(self, indices: Iterable[int]) -> None:
+        self._alive = _mask_of(indices)
 
     # ------------------------------------------------------------------
     def observe(self, test_index: int, signature: Signature) -> SessionUpdate:
@@ -148,18 +139,22 @@ class DiagnosisSession:
                     f"output index {output} out of range for "
                     f"{self.table.n_outputs} outputs"
                 )
-        before = len(self.candidates)
-        want = self._observed_value(test_index, signature)
-        survivors: List[int] = []
-        for i in self.candidates:
-            if self._stored_value(i, test_index) != want:
-                misses = self._mismatches.get(i, 0) + 1
-                self._mismatches[i] = misses
+        alive = self._alive
+        before = alive.bit_count()
+        match = self.dictionary.match_mask(test_index, signature)
+        if self.flip_budget:
+            dropped = []
+            mismatches = self._mismatches
+            for i in _members(alive & ~match):
+                misses = mismatches.get(i, 0) + 1
+                mismatches[i] = misses
                 if misses > self.flip_budget:
-                    continue
-            survivors.append(i)
-        self.candidates = survivors
-        after = len(self.candidates)
+                    dropped.append(i)
+            alive ^= _mask_of(dropped)
+        else:
+            alive &= match
+        self._alive = alive
+        after = alive.bit_count()
         self._observed[test_index] = signature
         self._stalled = 0 if after < before else self._stalled + 1
         update = SessionUpdate(
@@ -181,7 +176,7 @@ class DiagnosisSession:
     @property
     def resolved(self) -> bool:
         """Exactly one candidate remains."""
-        return len(self.candidates) == 1
+        return self._alive.bit_count() == 1
 
     @property
     def exhausted(self) -> bool:
@@ -199,7 +194,7 @@ class DiagnosisSession:
         set, ``stall_after`` non-improving observations in a row, or no
         tests left to apply."""
         return (
-            len(self.candidates) <= 1
+            self._alive.bit_count() <= 1
             or self._stalled >= self.stall_after
             or self.exhausted
         )
@@ -223,21 +218,6 @@ class DiagnosisSession:
         )
 
     # ------------------------------------------------------------------
-    def _column_groups(self, test_index: int) -> Dict[object, int]:
-        """Current candidates grouped by their stored value at one test."""
-        groups: Dict[object, int] = {}
-        for i in self.candidates:
-            value = self._stored_value(i, test_index)
-            groups[value] = groups.get(value, 0) + 1
-        return groups
-
-    @staticmethod
-    def _split_pairs(total: int, groups: Dict[object, int]) -> int:
-        """Candidate pairs a test's column separates (greedy score)."""
-        return (total * (total - 1) - sum(
-            size * (size - 1) for size in groups.values()
-        )) // 2
-
     def suggest_next_test(self, strategy: str = "greedy") -> Optional[int]:
         """The next test worth applying, or ``None`` when none helps.
 
@@ -250,31 +230,41 @@ class DiagnosisSession:
         the session is converged by construction at that point.
 
         ``strategy="greedy"`` (default) maximises the number of candidate
-        pairs the test separates — the classic adaptive-testing step,
-        kept as the golden-path behavior.
+        pairs the test separates, ``(N(N-1) - Σ_v n_v(n_v-1)) / 2`` for
+        ``n_v`` candidates storing value ``v`` — the classic
+        adaptive-testing step, kept as the golden-path behavior.
 
         ``strategy="entropy"`` minimises the expected posterior
         candidate-set entropy ``Σ_v (n_v/N)·log2(n_v)`` over the stored
-        column values ``v`` (uniform prior over the ``N`` candidates;
-        ``n_v`` candidates answer ``v``).  The greedy split count is the
-        first tie-break, then the test index.  A three-way near-even
-        split beats a lopsided two-way split here, which is what shortens
-        noisy fleet sessions (see ``docs/diagnosis.md``).
+        column values ``v`` (uniform prior over the ``N`` candidates),
+        adding the terms in first-member order (values ordered by their
+        lowest candidate fault index), which fixes how the float sum
+        rounds.  The greedy split count is the first tie-break, then the
+        test index.  A three-way near-even split beats a lopsided two-way
+        split here, which is what shortens noisy fleet sessions (see
+        ``docs/diagnosis.md``).
         """
         if strategy not in STRATEGIES:
             raise ValueError(
                 f"unknown strategy {strategy!r}: expected one of {STRATEGIES}"
             )
-        if len(self.candidates) <= 1:
+        alive = self._alive
+        total = alive.bit_count()
+        if total <= 1:
             return None
-        total = len(self.candidates)
+        pairs = total * (total - 1)
+        observed = self._observed
         if strategy == "greedy":
             best_test: Optional[int] = None
             best_score = 0
-            for j in range(self.table.n_tests):
-                if j in self._observed:
+            for j, masks in enumerate(self._masks):
+                if j in observed:
                     continue
-                split = self._split_pairs(total, self._column_groups(j))
+                same = 0
+                for mask in masks:
+                    n_v = (alive & mask).bit_count()
+                    same += n_v * (n_v - 1)
+                split = (pairs - same) // 2
                 if split > best_score:
                     best_test, best_score = j, split
             return best_test
@@ -282,16 +272,25 @@ class DiagnosisSession:
         # to the greedy split count (more pairs separated), then index.
         best_test = None
         best_key: Optional[Tuple[float, int, int]] = None
-        for j in range(self.table.n_tests):
-            if j in self._observed:
+        for j, masks in enumerate(self._masks):
+            if j in observed:
                 continue
-            groups = self._column_groups(j)
-            if len(groups) <= 1:
+            same = 0
+            values = 0
+            terms = []  # (lowest candidate bit, n_v) of values with n_v > 1
+            for mask in masks:
+                hit = alive & mask
+                n_v = hit.bit_count()
+                if n_v:
+                    values += 1
+                    same += n_v * (n_v - 1)
+                    if n_v > 1:
+                        terms.append((hit & -hit, n_v))
+            if values <= 1:
                 continue  # no split — applying j cannot narrow anything
-            expected = sum(
-                size * math.log2(size) for size in groups.values() if size > 1
-            ) / total
-            key = (expected, -self._split_pairs(total, groups), j)
+            terms.sort()
+            expected = sum(n_v * math.log2(n_v) for _, n_v in terms) / total
+            key = (expected, -((pairs - same) // 2), j)
             if best_key is None or key < best_key:
                 best_test, best_key = j, key
         return best_test
@@ -301,10 +300,28 @@ class DiagnosisSession:
         """A plain-data summary of where the session stands."""
         return {
             "observations": len(self.history),
-            "candidates": len(self.candidates),
+            "candidates": self._alive.bit_count(),
             "narrowing": [update.after for update in self.history],
             "stalled": self._stalled,
             "resolved": self.resolved,
             "converged": self.converged,
             "exhausted": self.exhausted,
         }
+
+
+def _members(mask: int) -> List[int]:
+    """The set bits of ``mask``, ascending: one pass over its binary digits."""
+    digits = bin(mask)[:1:-1]  # least significant first, no "0b"
+    return list(compress(range(len(digits)), map("1".__eq__, digits)))
+
+
+def _mask_of(indices: Iterable[int]) -> int:
+    """The bitmask with bit ``i`` set for every ``i`` in ``indices``."""
+    indices = list(indices)
+    if not indices:
+        return 0
+    top = max(indices)
+    digits = bytearray(b"0") * (top + 1)  # most significant first
+    for i in indices:
+        digits[top - i] = 49  # ord("1")
+    return int(digits, 2)

@@ -32,10 +32,11 @@ Both directions work one column at a time, not one (fault, test) cell
 at a time in Python.  :func:`pack_columns` turns a column into one
 binary-digit string and so one integer; :func:`unpack_columns` reads
 each column back from its own byte range, one bit position of every id
-at a time.  The loader then derives ``det_words``, the per-fault
-``failing`` dicts and the dictionary rows from those columns in
-per-column passes; only the dicts take a Python step, one per detected
-entry.  The bytes are the ones the earlier per-cell
+at a time.  The loader then derives the per-fault ``failing`` dicts and
+the dictionary rows from those columns in per-column passes; only the
+dicts take a Python step, one per detected entry.  The pass/fail
+``det_words`` are derived on first use, which a served same/different
+artifact never makes.  The bytes are the ones the earlier per-cell
 ``BitWriter`` loop wrote, so the format (version 1) is unchanged.
 
 The *content hash* identifies the build inputs, not the file bytes: it is

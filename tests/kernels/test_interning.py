@@ -104,3 +104,40 @@ def test_columns_take_the_narrowest_lane():
     assert {c.typecode for c in random_table(9, 3, 2, seed=1).interned.cols} == {
         "B"
     }
+
+
+@settings(max_examples=40, deadline=None)
+@given(table=tables())
+def test_det_words_of_a_column_view_are_derived_on_first_use(table):
+    interned = intern_response_table(table)
+    derived = InternedTable.from_columns(
+        interned.n_faults, interned.cols, interned.sigs
+    )
+    assert "_det_words" not in derived.__dict__
+    assert derived.det_words == derived.rows([0] * derived.n_tests)
+    assert derived.det_words == interned.det_words
+    restored = pickle.loads(pickle.dumps(derived))
+    assert restored.__dict__["_det_words"] == interned.det_words
+
+
+def _wide_table():
+    """More than 256 distinct failing signatures under one test."""
+    return random_table(600, 2, 12, 7, density=1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(table=st.one_of(tables(), st.just(_wide_table())), data=st.data())
+def test_masks_are_the_columns_transposed(table, data):
+    """``id_masks`` and ``split_masks`` against per-cell bit loops."""
+    interned = table.interned
+    for j, col in enumerate(interned.cols):
+        z = interned.n_candidates(j)
+        expected = [0] * z
+        for i, sid in enumerate(col):
+            expected[sid] |= 1 << i
+        assert interned.id_masks(j) == expected
+        same_id = data.draw(st.sampled_from([None, *range(z)]), label=f"id{j}")
+        same = 0 if same_id is None else expected[same_id]
+        assert interned.split_masks(j, same_id) == [
+            same, ((1 << interned.n_faults) - 1) ^ same
+        ]
