@@ -186,10 +186,8 @@ def rank_int_rows(
     then fault index ascending, with no object per fault.
     """
     n = len(rows)
-    keys = [
-        misses * n + index
-        for index, misses in enumerate(map(int.bit_count, map(observed.__xor__, rows)))
-    ]
+    disagreements = map(int.bit_count, map(observed.__xor__, rows))
+    keys = [misses * n + index for index, misses in enumerate(disagreements)]
     best = heapq.nsmallest(limit, keys) if limit >= 0 else sorted(keys)[:limit]
     return [
         ScoredCandidate(index, n_tests - misses)

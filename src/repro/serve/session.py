@@ -276,18 +276,15 @@ class DiagnosisSession:
             if j in observed:
                 continue
             same = 0
-            values = 0
             terms = []  # (lowest candidate bit, n_v) of values with n_v > 1
             for mask in masks:
                 hit = alive & mask
                 n_v = hit.bit_count()
-                if n_v:
-                    values += 1
+                if n_v > 1:
                     same += n_v * (n_v - 1)
-                    if n_v > 1:
-                        terms.append((hit & -hit, n_v))
-            if values <= 1:
-                continue  # no split — applying j cannot narrow anything
+                    terms.append((hit & -hit, n_v))
+            if same == pairs:
+                continue  # one value holds every candidate: no split
             terms.sort()
             expected = sum(n_v * math.log2(n_v) for _, n_v in terms) / total
             key = (expected, -((pairs - same) // 2), j)

@@ -28,7 +28,12 @@ from repro.dictionaries.passfail import PassFailDictionary
 from repro.dictionaries.samediff import SameDifferentDictionary
 from repro.faults import Fault
 from repro.obs import scoped_registry
-from repro.serve import DiagnosisRequest, DiagnosisServer, DiagnosisSession, ServeConfig
+from repro.serve import (
+    DiagnosisRequest,
+    DiagnosisServer,
+    DiagnosisSession,
+    ServeConfig,
+)
 from repro.sim import ResponseTable, TestSet
 from repro.sim.responses import PASS
 from repro.store import load_artifact, save_artifact
