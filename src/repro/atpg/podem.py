@@ -7,10 +7,20 @@ backtracks when the fault can no longer be activated or no X-path remains
 from the D-frontier to an output.  Within the backtrack limit the algorithm
 is complete: ``UNTESTABLE`` results are proofs of combinational redundancy.
 
-Implication is event-driven.  One full dual pass builds each fault's
-initial state (every input X); after that a decision propagates only from
-the input it set, gate by gate in topological order, stopping wherever
-neither machine's value changes.  Every overwritten value goes on an undo
+The engine reads the netlist's compiled view (integer positions in
+topological order, gate-type codes, fan-in and fan-out tuples, cached
+cones) and keeps one state list: each net's good and faulty values packed
+into one small int of can-be-0/can-be-1 rails (:func:`~.values.pack`).
+One evaluation per gate serves both machines; an AND, NAND, OR or NOR is
+one ``&`` and one ``|`` over its fan-in states and a table lookup.  A gate
+outside the fault's cone needs no special case, because its fan-ins
+already carry equal good and faulty rails; only the fault site (a stem
+fault) or the sink gate (a pin fault) overrides the faulty rails.
+
+Implication is event-driven.  One full pass builds each fault's initial
+state (every input X); after that a decision propagates only from the
+input it set, gate by gate in topological order, stopping wherever
+neither machine's value changes.  Every overwritten state goes on an undo
 trail, and each decision remembers the trail length before it, so a
 backtrack pops the trail back to the flipped decision's mark instead of
 re-simulating.  Only nets in the fault's fan-out cone can carry a
@@ -31,12 +41,24 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..circuit.gates import GateType
+from ..circuit import compiled as C
 from ..circuit.netlist import Netlist
 from ..faults.model import Fault
 from ..obs import get_default_registry
 from .testability import controllability
-from .values import ONE, X, ZERO, evaluate3, not3
+from .values import (
+    DIFFERS,
+    HAS_X,
+    MONOTONE,
+    ONE,
+    PACKED_X,
+    X,
+    ZERO,
+    evaluate_packed,
+    good_value,
+    not3,
+    pack,
+)
 
 
 class Status(enum.Enum):
@@ -78,29 +100,13 @@ class Podem:
         self.netlist = netlist
         self.backtrack_limit = backtrack_limit
         self.rng = rng or random.Random(0)
-
-        order = netlist.topological_order()
-        self._position: Dict[str, int] = {net: i for i, net in enumerate(order)}
-        self._names: List[str] = order
-        self._kinds: List[GateType] = []
-        self._fanin: List[Tuple[int, ...]] = []
-        for net in order:
-            gate = netlist.gates[net]
-            self._kinds.append(gate.gate_type)
-            self._fanin.append(tuple(self._position[i] for i in gate.inputs))
-        fanout = netlist.fanout_map()
-        self._fanout: List[Tuple[int, ...]] = [
-            tuple(self._position[s] for s in fanout[net]) for net in order
-        ]
-        self._is_output = [False] * len(order)
-        for net in netlist.outputs:
-            self._is_output[self._position[net]] = True
-        self._output_positions = [self._position[net] for net in netlist.outputs]
-        self._pi_positions = [
-            i for i, kind in enumerate(self._kinds) if kind is GateType.INPUT
-        ]
+        self._view = view = netlist.compiled()
+        #: Each gate's :data:`~.values.MONOTONE` table (None for parity gates).
+        self._tables = [MONOTONE[kind] for kind in view.kinds]
         measures = controllability(netlist)
-        self._cc: List[Tuple[int, int]] = [measures[net] for net in order]
+        self._cc: List[Tuple[int, int]] = [measures[net] for net in view.names]
+        # The fault-free state with every input X (position -1 is no net).
+        self._all_x = self._imply({}, -1, None, ZERO)
 
     # ------------------------------------------------------------------
     # public API
@@ -115,16 +121,17 @@ class Podem:
         return result
 
     def _generate(self, fault: Fault, randomize: bool) -> PodemResult:
+        view = self._view
         site, pin_sink = self._fault_site(fault)
-        cone = self._cone_positions(site if pin_sink is None else pin_sink)
-        cone_order = sorted(cone)
-        cone_outputs = [o for o in self._output_positions if o in cone]
-        good, faulty = self._imply({}, fault, site, pin_sink, cone)
-        # Undo trail of (position, old good, old faulty) records.
-        trail: List[Tuple[int, int, int]] = []
+        stuck = fault.stuck_at
+        cone_order = view.cone(site if pin_sink is None else pin_sink)
+        cone_outputs = [o for o in cone_order if view.is_output[o]]
+        state = self._initial_state(site, pin_sink, stuck)
+        # Undo trail of (position, old state) records.
+        trail: List[Tuple[int, int]] = []
 
         def assign(pi: int, value: int) -> None:
-            self._assign(good, faulty, trail, pi, value, fault, site, pin_sink, cone)
+            self._assign(state, trail, pi, value, site, pin_sink, stuck)
 
         # Decision stack entries: [pi position, value, already flipped,
         # trail length before the decision was assigned].
@@ -132,19 +139,14 @@ class Podem:
         backtracks = 0
 
         while True:
-            if any(
-                good[o] != X and faulty[o] != X and good[o] != faulty[o]
-                for o in cone_outputs
-            ):
-                named = {self._names[pi]: v for pi, v, _, _ in stack}
+            if any(DIFFERS[state[o]] for o in cone_outputs):
+                named = {view.names[pi]: v for pi, v, _, _ in stack}
                 return PodemResult(Status.DETECTED, fault, named, backtracks)
 
-            objective = self._objective(
-                fault, site, pin_sink, good, faulty, cone_order
-            )
+            objective = self._objective(stuck, site, pin_sink, state, cone_order)
             decision = None
             if objective is not None:
-                decision = self._backtrace(objective, good, faulty, randomize)
+                decision = self._backtrace(objective, state, randomize)
             if decision is None:
                 # Dead end: flip the most recent unflipped decision.
                 backtracks += 1
@@ -155,7 +157,7 @@ class Podem:
                 if not stack:
                     return PodemResult(Status.UNTESTABLE, fault, None, backtracks)
                 top = stack[-1]
-                self._undo(good, faulty, trail, top[3])
+                self._undo(state, trail, top[3])
                 top[1] ^= 1
                 top[2] = 1
                 assign(top[0], top[1])
@@ -165,13 +167,17 @@ class Podem:
                 assign(pi, value)
 
     def fill(self, result: PodemResult, rng: Optional[random.Random] = None) -> Dict[str, int]:
-        """Complete a detected result's assignment into a full input vector."""
+        """Complete a detected result's assignment into a full input vector.
+
+        Free inputs draw their bits in topological order.
+        """
         if not result.detected:
             raise ValueError(f"cannot fill a {result.status.value} result")
         rng = rng or self.rng
         vector = dict(result.assignment)
-        for pi in self._pi_positions:
-            vector.setdefault(self._names[pi], rng.getrandbits(1))
+        names = self._view.names
+        for pi in sorted(self._view.inputs):
+            vector.setdefault(names[pi], rng.getrandbits(1))
         return vector
 
     # ------------------------------------------------------------------
@@ -179,29 +185,44 @@ class Podem:
     # ------------------------------------------------------------------
     def _fault_site(self, fault: Fault) -> Tuple[int, Optional[int]]:
         """Positions of the fault line and (for pin faults) the sink gate."""
-        if fault.line not in self._position:
+        position = self._view.position
+        if fault.line not in position:
             raise ValueError(f"fault on unknown net: {fault}")
-        site = self._position[fault.line]
+        site = position[fault.line]
         if fault.is_stem:
             return site, None
-        if fault.input_of not in self._position:
+        if fault.input_of not in position:
             raise ValueError(f"fault on unknown pin: {fault}")
-        sink = self._position[fault.input_of]
-        if site not in self._fanin[sink]:
+        sink = position[fault.input_of]
+        if site not in self._view.fanin[sink]:
             raise ValueError(f"pin fault on non-edge: {fault}")
         return site, sink
 
-    def _cone_positions(self, origin: int) -> Set[int]:
-        """Positions reachable from ``origin`` (the fault-effect cone)."""
-        cone = {origin}
-        stack = [origin]
-        while stack:
-            current = stack.pop()
-            for successor in self._fanout[current]:
-                if successor not in cone:
-                    cone.add(successor)
-                    stack.append(successor)
-        return cone
+    def _inject(
+        self,
+        i: int,
+        new: int,
+        state: List[int],
+        site: int,
+        pin_sink: Optional[int],
+        stuck: int,
+    ) -> int:
+        """Apply the fault to ``new``, the plain evaluation of its own net ``i``.
+
+        A stem fault's site keeps its stuck value in the faulty machine (a
+        primary input included); a pin fault's sink gate re-reads its
+        fan-in with the stuck value on the faulty pin only.
+        """
+        stuck_rails = (stuck + 1) << 2
+        if pin_sink is None:
+            return (new & 3) | stuck_rails
+        return evaluate_packed(
+            self._view.kinds[i],
+            [
+                (state[j] & 3) | stuck_rails if j == site else state[j]
+                for j in self._view.fanin[i]
+            ],
+        )
 
     # ------------------------------------------------------------------
     # implication (forward 3-valued dual simulation)
@@ -209,134 +230,149 @@ class Podem:
     def _imply(
         self,
         assignment: Dict[int, int],
-        fault: Fault,
         site: int,
         pin_sink: Optional[int],
-        cone: Set[int],
-    ) -> Tuple[List[int], List[int]]:
-        """Good and faulty values of every net under ``assignment``, in one pass.
+        stuck: int,
+    ) -> List[int]:
+        """Packed state of every net under ``assignment``, in one full pass.
 
-        The search calls this once per fault, on the empty assignment, to
-        build the initial state that :meth:`_assign` then updates; it is
-        also the oracle the incremental state is tested against.  Fault
-        rules: a stem fault's site keeps its stuck value (a primary input
-        included); a pin fault's stuck value is seen only by the sink gate,
-        whose cone excludes the site; outside the cone faulty equals good.
+        This is the oracle the event-driven state is tested against.  Fault
+        rules (:meth:`_inject`): the fault acts only at its own net; every
+        other net's faulty machine follows its fan-in, so outside the fault
+        cone it equals the good machine.
         """
-        size = len(self._names)
-        good = [X] * size
-        faulty = [X] * size
-        stuck = fault.stuck_at
-        for i in range(size):
-            kind = self._kinds[i]
-            if kind is GateType.INPUT:
+        view = self._view
+        special = site if pin_sink is None else pin_sink
+        state = [PACKED_X] * len(view)
+        for i, kind in enumerate(view.kinds):
+            if kind == C.INPUT:
                 value = assignment.get(i, X)
-                good[i] = value
+                new = pack(value, value)
             else:
-                good[i] = evaluate3(kind, [good[j] for j in self._fanin[i]])
-            if i not in cone:
-                faulty[i] = good[i]
-                continue
-            if pin_sink is None and i == site:
-                faulty[i] = stuck
-            elif kind is GateType.INPUT:
-                faulty[i] = good[i]
-            else:
-                fanin_faulty = [faulty[j] for j in self._fanin[i]]
-                if i == pin_sink:
-                    fanin_faulty = [
-                        stuck if j == site else faulty[j]
-                        for j in self._fanin[i]
-                    ]
-                faulty[i] = evaluate3(kind, fanin_faulty)
-        return good, faulty
+                new = evaluate_packed(kind, [state[j] for j in view.fanin[i]])
+            if i == special:
+                new = self._inject(i, new, state, site, pin_sink, stuck)
+            state[i] = new
+        return state
+
+    def _initial_state(
+        self, site: int, pin_sink: Optional[int], stuck: int
+    ) -> List[int]:
+        """The state with every input X, as :meth:`_imply` would compute it.
+
+        The fault-free all-X state is the same for every fault, so it is
+        computed once; each fault then injects itself at its own net and
+        propagates from there.
+        """
+        state = self._all_x[:]
+        special = site if pin_sink is None else pin_sink
+        state[special] = self._inject(
+            special, state[special], state, site, pin_sink, stuck
+        )
+        self._propagate(state, [], special, site, pin_sink, stuck)
+        return state
 
     def _assign(
         self,
-        good: List[int],
-        faulty: List[int],
-        trail: List[Tuple[int, int, int]],
+        state: List[int],
+        trail: List[Tuple[int, int]],
         pi: int,
         value: int,
-        fault: Fault,
         site: int,
         pin_sink: Optional[int],
-        cone: Set[int],
+        stuck: int,
     ) -> None:
         """Set input ``pi`` to ``value`` and propagate the change forward.
 
+        Every overwritten state is pushed on ``trail``; the result equals a
+        full :meth:`_imply` pass over the new assignment.
+        """
+        trail.append((pi, state[pi]))
+        new = pack(value, value)
+        if pi == site and pin_sink is None:
+            new = self._inject(pi, new, state, site, pin_sink, stuck)
+        state[pi] = new
+        self._propagate(state, trail, pi, site, pin_sink, stuck)
+
+    def _propagate(
+        self,
+        state: List[int],
+        trail: List[Tuple[int, int]],
+        origin: int,
+        site: int,
+        pin_sink: Optional[int],
+        stuck: int,
+    ) -> None:
+        """Re-evaluate the fan-out of ``origin``, whose state just changed.
+
         Gates are evaluated from a heap of topological positions, so each
         is evaluated once, after all its changed fan-ins have settled; the
-        event stops at a gate whose good and faulty values both stay put.
-        Every overwritten value is pushed on ``trail``.  The fault rules are
-        :meth:`_imply`'s, so the result equals a full pass over the new
-        assignment.
+        event stops at a gate whose state stays put.  A gate is pushed once
+        per changed fan-in, and every push precedes its first pop (its
+        fan-ins come earlier in the order), so its copies pop back to back
+        and all but the first are skipped.  Every overwritten state is
+        pushed on ``trail``.
         """
-        stuck = fault.stuck_at
-        trail.append((pi, good[pi], faulty[pi]))
-        good[pi] = value
-        if pin_sink is not None or pi != site:
-            faulty[pi] = value
-        kinds, fanin, fanout = self._kinds, self._fanin, self._fanout
-        queued = set(fanout[pi])
-        heap = sorted(queued)
+        special = site if pin_sink is None else pin_sink
+        view = self._view
+        tables, fanin, fanout = self._tables, view.fanin, view.fanout
+        heap = sorted(fanout[origin])
+        last = -1
         while heap:
             i = heappop(heap)
-            kind = kinds[i]
-            g = evaluate3(kind, [good[j] for j in fanin[i]])
-            if i not in cone:
-                f = g
-            elif i == site and pin_sink is None:
-                f = stuck
-            elif i == pin_sink:
-                f = evaluate3(kind, [stuck if j == site else faulty[j] for j in fanin[i]])
-            else:
-                f = evaluate3(kind, [faulty[j] for j in fanin[i]])
-            if g == good[i] and f == faulty[i]:
+            if i == last:
                 continue
-            trail.append((i, good[i], faulty[i]))
-            good[i] = g
-            faulty[i] = f
+            last = i
+            table = tables[i]
+            if table is None:
+                new = evaluate_packed(view.kinds[i], [state[j] for j in fanin[i]])
+            else:
+                # evaluate_packed's monotone case, inlined.
+                a, o = PACKED_X, 0
+                for j in fanin[i]:
+                    s = state[j]
+                    a &= s
+                    o |= s
+                new = table[a << 4 | o]
+            if i == special:
+                new = self._inject(i, new, state, site, pin_sink, stuck)
+            old = state[i]
+            if new == old:
+                continue
+            trail.append((i, old))
+            state[i] = new
             for successor in fanout[i]:
-                if successor not in queued:
-                    queued.add(successor)
-                    heappush(heap, successor)
+                heappush(heap, successor)
 
     @staticmethod
-    def _undo(
-        good: List[int],
-        faulty: List[int],
-        trail: List[Tuple[int, int, int]],
-        mark: int,
-    ) -> None:
+    def _undo(state: List[int], trail: List[Tuple[int, int]], mark: int) -> None:
         """Pop ``trail`` back to length ``mark``, restoring what it overwrote."""
-        while len(trail) > mark:
-            i, g, f = trail.pop()
-            good[i] = g
-            faulty[i] = f
+        for i, old in reversed(trail[mark:]):
+            state[i] = old
+        del trail[mark:]
 
     # ------------------------------------------------------------------
     # objective selection
     # ------------------------------------------------------------------
     def _objective(
         self,
-        fault: Fault,
+        stuck: int,
         site: int,
         pin_sink: Optional[int],
-        good: List[int],
-        faulty: List[int],
+        state: List[int],
         cone_order: Sequence[int],
     ) -> Optional[Tuple[int, int]]:
         """Next (net position, value) goal, or None when the state is a dead end."""
-        desired = 1 - fault.stuck_at
-        if good[site] == X:
+        desired = 1 - stuck
+        good = good_value(state[site])
+        if good == X:
             return site, desired
-        if good[site] != desired:
+        if good != desired:
             return None  # activation impossible under current assignment
-        frontier = self._d_frontier(good, faulty, cone_order)
+        frontier = self._d_frontier(state, cone_order)
         if (
             pin_sink is not None
-            and (good[pin_sink] == X or faulty[pin_sink] == X)
+            and HAS_X[state[pin_sink]]
             and pin_sink not in frontier
         ):
             # A pin fault's difference originates inside the sink gate (the
@@ -345,18 +381,16 @@ class Podem:
             frontier.insert(0, pin_sink)
         if not frontier:
             return None
-        if not self._x_path_exists(frontier, good, faulty):
+        if not self._x_path_exists(frontier, state):
             return None
         # Prefer the frontier gate with the cheapest X side input to set.
         # Inputs unknown in *either* machine qualify: a known-good input
         # whose faulty value is still X is resolved by backtracing through
         # composite-X nets just the same.
+        view = self._view
         for gate in frontier:
-            kind = self._kinds[gate]
-            noncontrolling = _NONCONTROLLING.get(kind, ZERO)
-            candidates = [
-                j for j in self._fanin[gate] if good[j] == X or faulty[j] == X
-            ]
+            noncontrolling = _NONCONTROLLING[view.kinds[gate]]
+            candidates = [j for j in view.fanin[gate] if HAS_X[state[j]]]
             if candidates:
                 easiest = min(
                     candidates,
@@ -365,27 +399,26 @@ class Podem:
                 return easiest, noncontrolling
         return None
 
-    def _d_frontier(
-        self, good: List[int], faulty: List[int], cone_order: Sequence[int]
-    ) -> List[int]:
+    def _d_frontier(self, state: List[int], cone_order: Sequence[int]) -> List[int]:
         """Gates, ascending, with an X output and a known-difference fan-in.
 
         Only cone nets can differ, and the cone is closed under fan-out, so
         scanning ``cone_order`` (the cone's positions, ascending) finds the
         same gates in the same order as a scan of the whole netlist.
         """
+        kinds, fanin = self._view.kinds, self._view.fanin
         frontier = []
         for i in cone_order:
-            kind = self._kinds[i]
-            if kind is GateType.INPUT or (good[i] != X and faulty[i] != X):
+            if kinds[i] == C.INPUT or not HAS_X[state[i]]:
                 continue
-            for j in self._fanin[i]:
-                if good[j] != X and faulty[j] != X and good[j] != faulty[j]:
+            for j in fanin[i]:
+                if DIFFERS[state[j]]:
                     frontier.append(i)
                     break
         return frontier
 
-    def _x_path_exists(self, frontier: Sequence[int], good: List[int], faulty: List[int]) -> bool:
+    def _x_path_exists(self, frontier: Sequence[int], state: List[int]) -> bool:
+        is_output, fanout = self._view.is_output, self._view.fanout
         seen: Set[int] = set()
         stack = list(frontier)
         while stack:
@@ -393,10 +426,10 @@ class Podem:
             if current in seen:
                 continue
             seen.add(current)
-            if self._is_output[current]:
+            if is_output[current]:
                 return True
-            for successor in self._fanout[current]:
-                if successor not in seen and (good[successor] == X or faulty[successor] == X):
+            for successor in fanout[current]:
+                if successor not in seen and HAS_X[state[successor]]:
                     stack.append(successor)
         return False
 
@@ -406,8 +439,7 @@ class Podem:
     def _backtrace(
         self,
         objective: Tuple[int, int],
-        good: List[int],
-        faulty: List[int],
+        state: List[int],
         randomize: bool,
     ) -> Optional[Tuple[int, int]]:
         """Map an objective to a PI assignment through composite-X nets.
@@ -418,32 +450,31 @@ class Podem:
         along the way is a heuristic; soundness rests on the implication
         step and the exhaustive decision stack.
         """
+        kinds, fanin = self._view.kinds, self._view.fanin
         net, value = objective
-        for _ in range(len(self._names) + 1):
-            kind = self._kinds[net]
-            if kind is GateType.INPUT:
+        for _ in range(len(kinds) + 1):
+            kind = kinds[net]
+            if kind == C.INPUT:
                 return net, value
-            if kind.is_constant:
+            if kind == C.CONST0 or kind == C.CONST1:
                 return None
-            if kind is GateType.NOT:
-                net, value = self._fanin[net][0], not3(value)
+            if kind == C.NOT:
+                net, value = fanin[net][0], not3(value)
                 continue
-            if kind is GateType.BUF:
-                net = self._fanin[net][0]
+            if kind == C.BUF:
+                net = fanin[net][0]
                 continue
-            x_inputs = [
-                j for j in self._fanin[net] if good[j] == X or faulty[j] == X
-            ]
+            x_inputs = [j for j in fanin[net] if HAS_X[state[j]]]
             if not x_inputs:
                 return None
-            if kind in (GateType.XOR, GateType.XNOR):
+            if kind == C.XOR or kind == C.XNOR:
                 chosen = self.rng.choice(x_inputs) if randomize else x_inputs[0]
                 cc0, cc1 = self._cc[chosen]
                 net, value = chosen, (ZERO if cc0 <= cc1 else ONE)
                 continue
-            inverted = kind in (GateType.NAND, GateType.NOR)
+            inverted = kind == C.NAND or kind == C.NOR
             core = not3(value) if inverted else value
-            controlling = ZERO if kind in (GateType.AND, GateType.NAND) else ONE
+            controlling = ZERO if kind == C.AND or kind == C.NAND else ONE
             if core == controlling:
                 # One controlling input suffices: take the easiest.
                 key = lambda j: self._cc[j][controlling]
@@ -462,13 +493,7 @@ class Podem:
         return None
 
 
-_NONCONTROLLING = {
-    GateType.AND: ONE,
-    GateType.NAND: ONE,
-    GateType.OR: ZERO,
-    GateType.NOR: ZERO,
-    GateType.XOR: ZERO,
-    GateType.XNOR: ZERO,
-    GateType.NOT: ZERO,
-    GateType.BUF: ZERO,
-}
+#: The non-controlling value a D-frontier gate's side inputs need, by code.
+_NONCONTROLLING: Tuple[int, ...] = tuple(
+    ONE if code in (C.AND, C.NAND) else ZERO for code in range(len(C.GATE_TYPES))
+)

@@ -1,6 +1,7 @@
 """Gate-level circuit substrate: netlists, .bench I/O, benchmarks, scan."""
 
 from .bench import BenchParseError, dump, dumps, load, loads
+from .compiled import CompiledNetlist
 from .gates import GateType, evaluate_gate
 from .generate import (
     ITC99_PRESETS,
@@ -18,6 +19,7 @@ from .verilog import VerilogParseError
 
 __all__ = [
     "BenchParseError",
+    "CompiledNetlist",
     "Gate",
     "GateType",
     "GeneratorSpec",

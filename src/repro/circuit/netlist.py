@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+from .compiled import CompiledNetlist
 from .gates import GateType
 
 
@@ -45,8 +46,9 @@ class Netlist:
 
     Gates must be added before they are referenced only in the sense that
     the final structure is checked by :meth:`validate`; construction order
-    is free.  All analysis results (levels, fan-out, cones) are computed
-    lazily and cached; adding a gate invalidates the caches.
+    is free.  All analysis results (levels, fan-out, the compiled view) are
+    computed lazily and cached; adding a gate or an output invalidates the
+    caches.
     """
 
     def __init__(self, name: str = "circuit") -> None:
@@ -75,11 +77,13 @@ class Netlist:
         if name in self.outputs:
             raise NetlistError(f"output {name!r} declared twice")
         self.outputs.append(name)
+        self._invalidate()
 
     def _invalidate(self) -> None:
         self._order: Optional[List[str]] = None
         self._levels: Optional[Dict[str, int]] = None
         self._fanout: Optional[Dict[str, Tuple[str, ...]]] = None
+        self._compiled: Optional[CompiledNetlist] = None
 
     # ------------------------------------------------------------------
     # basic queries
@@ -168,6 +172,15 @@ class Netlist:
         self._order = order
         return order
 
+    def compiled(self) -> CompiledNetlist:
+        """The flat, integer-indexed view of this netlist (built once, cached).
+
+        Editing the netlist drops the view; the next call compiles afresh.
+        """
+        if self._compiled is None:
+            self._compiled = CompiledNetlist(self)
+        return self._compiled
+
     def levelize(self) -> Dict[str, int]:
         """Level of each net: 0 for sources, 1 + max(fan-in levels) otherwise."""
         if self._levels is not None:
@@ -199,20 +212,10 @@ class Netlist:
 
         The cone stops at DFF boundaries: a DFF input is in the cone but
         the DFF's output is not, matching single-time-frame simulation.
+        Read from the compiled view's cone cache.
         """
-        fanout = self.fanout_map()
-        cone: Set[str] = {net}
-        stack = [net]
-        while stack:
-            current = stack.pop()
-            for successor in fanout[current]:
-                if successor in cone:
-                    continue
-                if self.gates[successor].gate_type is GateType.DFF:
-                    continue
-                cone.add(successor)
-                stack.append(successor)
-        return cone
+        view = self.compiled()
+        return {view.names[i] for i in view.cone(view.position[net])}
 
     def input_cone(self, net: str) -> Set[str]:
         """Transitive fan-in of ``net`` (including ``net``), stopping at sources."""

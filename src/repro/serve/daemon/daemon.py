@@ -642,9 +642,10 @@ class DiagnosisDaemon:
         session = held.session
         for test_index, signature in advance.observations:
             session.observe(test_index, signature)
-        candidates = [str(fault) for fault in session.candidate_faults()]
+        faults = session.candidate_faults()
         if advance.limit:
-            candidates = candidates[: advance.limit]
+            faults = faults[: advance.limit]
+        candidates = [str(fault) for fault in faults]
         document: Dict[str, object] = {
             "schema": SCHEMA_VERSION,
             "session": advance.session_id,

@@ -476,9 +476,10 @@ class DiagnosisServer:
                     attempts=attempts,
                     narrowing=[update.after for update in session.history],
                 )
-        candidates = [str(fault) for fault in session.candidate_faults()]
+        faults = session.candidate_faults()
         if request.limit:
-            candidates = candidates[: request.limit]
+            faults = faults[: request.limit]
+        candidates = [str(fault) for fault in faults]
         # A suggestion is computed only when the request names a
         # strategy, so default requests stay byte-identical on the wire.
         suggested = None

@@ -6,27 +6,32 @@ event-driven pruning: a gate is re-evaluated only when one of its fan-ins
 actually changed on some pattern.  This is the parallel-pattern
 single-fault propagation (PPSFP) scheme of Waicukauski et al., adapted to
 arbitrary-precision integers.
+
+The simulator indexes plain lists by the netlist's compiled positions and
+reads each fault's cone from the compiled view, whose cone cache every
+simulator of that netlist shares.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from functools import cached_property
+from typing import Dict, List, Sequence, Tuple
 
-from ..circuit.gates import EVALUATORS, GateType
+from ..circuit import compiled as C
 from ..circuit.netlist import Netlist
 from ..faults.model import Fault
 from ..obs import get_default_registry
 from .bits import iter_bits  # noqa: F401 - re-exported for compatibility
-from .logicsim import SimulationError, simulate
+from .logicsim import SimulationError, simulate_positions
 from .patterns import TestSet
 
 
 class FaultSimulator:
     """Simulates single stuck-at faults against a fixed test set.
 
-    The fault-free simulation, topological order and fan-out cones are
-    computed once; each :meth:`output_diffs` call then costs one bitwise
-    pass over the (pruned) fan-out cone of the fault.
+    The fault-free simulation is computed once; each :meth:`output_diffs`
+    call then costs one bitwise pass over the (pruned) fan-out cone of the
+    fault.
     """
 
     def __init__(self, netlist: Netlist, tests: TestSet) -> None:
@@ -38,91 +43,101 @@ class FaultSimulator:
         self.tests = tests
         self.num_patterns = len(tests)
         self.mask = (1 << self.num_patterns) - 1
-        self.good_values = simulate(netlist, tests)
-        self._topo_position = {net: i for i, net in enumerate(netlist.topological_order())}
-        self._output_set = set(netlist.outputs)
-        self._cone_cache: Dict[str, Tuple[str, ...]] = {}
+        self._view = netlist.compiled()
+        self._good = simulate_positions(netlist, tests)
+
+    @cached_property
+    def good_values(self) -> Dict[str, int]:
+        """The fault-free pattern word of every net, by name."""
+        return dict(zip(self._view.names, self._good))
 
     # ------------------------------------------------------------------
-    def _sorted_cone(self, origin: str) -> Tuple[str, ...]:
-        """The fan-out cone of ``origin`` in topological order (cached)."""
-        cached = self._cone_cache.get(origin)
-        if cached is None:
-            cone = self.netlist.output_cone(origin)
-            cached = tuple(sorted(cone, key=self._topo_position.__getitem__))
-            self._cone_cache[origin] = cached
-        return cached
-
-    def _stuck_word(self, fault: Fault) -> int:
-        return self.mask if fault.stuck_at else 0
-
-    def _activation(self, fault: Fault) -> Tuple[str, int]:
-        """The net where the fault first takes effect and its faulty word.
+    def _activation(self, fault: Fault) -> Tuple[int, int]:
+        """The position where the fault first takes effect and its faulty word.
 
         For a stem fault that is the fault line itself.  For a pin fault it
         is the *sink gate's output*, re-evaluated with the stuck value
         substituted on the faulty pin only.
         """
-        if fault.line not in self.netlist.gates:
+        view = self._view
+        line = view.position.get(fault.line)
+        if line is None:
             raise ValueError(f"fault on unknown net: {fault}")
+        stuck = self.mask if fault.stuck_at else 0
         if fault.is_stem:
-            return fault.line, self._stuck_word(fault)
-        sink = self.netlist.gates.get(fault.input_of)
-        if sink is None or fault.line not in sink.inputs:
+            return line, stuck
+        sink = view.position.get(fault.input_of)
+        if sink is None or line not in view.fanin[sink]:
             raise ValueError(f"fault on unknown pin: {fault}")
-        if sink.gate_type is GateType.DFF:
-            # In the scan view the DFF input net is observed directly as a
-            # pseudo output; the pin is the net itself.
-            return fault.line, self._stuck_word(fault)
-        stuck = self._stuck_word(fault)
-        fanin = [
-            stuck if net == fault.line else self.good_values[net]
-            for net in sink.inputs
-        ]
-        return sink.name, EVALUATORS[sink.gate_type](fanin, self.mask)
+        fanin = [stuck if j == line else self._good[j] for j in view.fanin[sink]]
+        return sink, C.EVALUATORS[view.kinds[sink]](fanin, self.mask)
 
     # ------------------------------------------------------------------
+    def position_diffs(self, fault: Fault) -> Dict[int, int]:
+        """:meth:`output_diffs` keyed by the outputs' compiled positions."""
+        registry = get_default_registry()
+        registry.counter("faultsim.faults_simulated").inc()
+        registry.counter("faultsim.patterns_applied").inc(self.num_patterns)
+        origin, faulty_word = self._activation(fault)
+        good = self._good
+        initial_diff = faulty_word ^ good[origin]
+        diffs: Dict[int, int] = {}
+        if not initial_diff:
+            # The fault never activates under these patterns: its effect is
+            # dropped at the origin before any propagation work happens.
+            registry.counter("faultsim.dropped_faults").inc()
+            return diffs
+        view = self._view
+        fanin, fanout, kinds = view.fanin, view.fanout, view.kinds
+        is_output, mask = view.is_output, self.mask
+        # ``faulty`` holds the nets whose faulty word differs from the good
+        # one, ``pending`` the gates that read one of them.
+        faulty: Dict[int, int] = {origin: faulty_word}
+        pending = set(fanout[origin])
+        if is_output[origin]:
+            diffs[origin] = initial_diff
+        for i in view.cone(origin)[1:]:
+            if i not in pending:
+                continue
+            # AND, NAND, OR and NOR inline; the rest through their evaluator.
+            kind = kinds[i]
+            if kind == C.AND or kind == C.NAND:
+                value = mask
+                for j in fanin[i]:
+                    value &= faulty[j] if j in faulty else good[j]
+                if kind == C.NAND:
+                    value ^= mask
+            elif kind == C.OR or kind == C.NOR:
+                value = 0
+                for j in fanin[i]:
+                    value |= faulty[j] if j in faulty else good[j]
+                if kind == C.NOR:
+                    value ^= mask
+            else:
+                value = C.EVALUATORS[kind](
+                    [faulty[j] if j in faulty else good[j] for j in fanin[i]], mask
+                )
+            diff = value ^ good[i]
+            if diff:
+                faulty[i] = value
+                pending.update(fanout[i])
+                if is_output[i]:
+                    diffs[i] = diff
+        return diffs
+
     def output_diffs(self, fault: Fault) -> Dict[str, int]:
         """Per-output difference words; only outputs with some difference appear.
 
         Bit ``p`` of ``result[o]`` is set when output ``o`` differs from the
         fault-free value under pattern ``p`` in the presence of ``fault``.
         """
-        registry = get_default_registry()
-        registry.counter("faultsim.faults_simulated").inc()
-        registry.counter("faultsim.patterns_applied").inc(self.num_patterns)
-        origin, faulty_word = self._activation(fault)
-        good = self.good_values
-        initial_diff = faulty_word ^ good[origin]
-        diffs: Dict[str, int] = {}
-        if not initial_diff:
-            # The fault never activates under these patterns: its effect is
-            # dropped at the origin before any propagation work happens.
-            registry.counter("faultsim.dropped_faults").inc()
-            return diffs
-        faulty: Dict[str, int] = {origin: faulty_word}
-        changed: Set[str] = {origin}
-        if origin in self._output_set:
-            diffs[origin] = initial_diff
-        gates = self.netlist.gates
-        for net in self._sorted_cone(origin)[1:]:
-            gate = gates[net]
-            if not any(i in changed for i in gate.inputs):
-                continue
-            fanin = [faulty.get(i, good[i]) for i in gate.inputs]
-            value = EVALUATORS[gate.gate_type](fanin, self.mask)
-            diff = value ^ good[net]
-            if diff:
-                faulty[net] = value
-                changed.add(net)
-                if net in self._output_set:
-                    diffs[net] = diff
-        return diffs
+        names = self._view.names
+        return {names[i]: diff for i, diff in self.position_diffs(fault).items()}
 
     def detection_word(self, fault: Fault) -> int:
         """Bit ``p`` set when pattern ``p`` detects ``fault`` at any output."""
         word = 0
-        for diff in self.output_diffs(fault).values():
+        for diff in self.position_diffs(fault).values():
             word |= diff
         return word
 

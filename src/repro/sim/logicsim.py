@@ -2,8 +2,10 @@
 
 Each net's value over all patterns is a single Python integer with one bit
 per pattern, so the simulation cost is one bitwise operation per gate
-regardless of the number of tests.  Only combinational (or full-scan)
-netlists are simulated; sequential circuits must go through
+regardless of the number of tests.  The simulation walks the netlist's
+compiled view and keeps the words in a plain list indexed by position; the
+name-keyed results are built from that list.  Only combinational (or
+full-scan) netlists are simulated; sequential circuits must go through
 :func:`repro.circuit.scan.prepare_for_test` first.
 """
 
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..circuit.gates import EVALUATORS, GateType
+from ..circuit import compiled as C
 from ..circuit.netlist import Netlist
 from .patterns import TestSet
 
@@ -20,8 +22,10 @@ class SimulationError(RuntimeError):
     """Raised for simulation misuse (sequential netlist, missing inputs)."""
 
 
-def simulate_words(netlist: Netlist, input_words: Dict[str, int], num_patterns: int) -> Dict[str, int]:
-    """Simulate all patterns at once; returns the word of every net.
+def position_words(
+    netlist: Netlist, input_words: Dict[str, int], num_patterns: int
+) -> List[int]:
+    """Simulate all patterns at once; the word of every net, by compiled position.
 
     ``input_words`` maps every primary input net to its pattern word.
     """
@@ -29,28 +33,43 @@ def simulate_words(netlist: Netlist, input_words: Dict[str, int], num_patterns: 
         raise SimulationError(
             f"netlist {netlist.name!r} is sequential; apply full scan first"
         )
+    view = netlist.compiled()
     mask = (1 << num_patterns) - 1
-    values: Dict[str, int] = {}
-    for net in netlist.topological_order():
-        gate = netlist.gates[net]
-        if gate.gate_type is GateType.INPUT:
-            try:
-                values[net] = input_words[net] & mask
-            except KeyError:
-                raise SimulationError(f"no stimulus for primary input {net!r}")
-        else:
-            fanin = [values[i] for i in gate.inputs]
-            values[net] = EVALUATORS[gate.gate_type](fanin, mask)
+    values = [0] * len(view)
+    for position in view.inputs:
+        net = view.names[position]
+        try:
+            values[position] = input_words[net] & mask
+        except KeyError:
+            raise SimulationError(f"no stimulus for primary input {net!r}")
+    evaluators, fanin = C.EVALUATORS, view.fanin
+    for i, kind in enumerate(view.kinds):
+        if kind != C.INPUT:
+            values[i] = evaluators[kind]([values[j] for j in fanin[i]], mask)
     return values
 
 
-def simulate(netlist: Netlist, tests: TestSet) -> Dict[str, int]:
-    """Simulate a :class:`TestSet`; returns the pattern word of every net."""
+def simulate_words(netlist: Netlist, input_words: Dict[str, int], num_patterns: int) -> Dict[str, int]:
+    """Simulate all patterns at once; returns the word of every net.
+
+    ``input_words`` maps every primary input net to its pattern word.
+    """
+    values = position_words(netlist, input_words, num_patterns)
+    return dict(zip(netlist.compiled().names, values))
+
+
+def simulate_positions(netlist: Netlist, tests: TestSet) -> List[int]:
+    """Simulate a :class:`TestSet`; the word of every net, by compiled position."""
     if tuple(tests.inputs) != tuple(netlist.inputs):
         missing = set(netlist.inputs) - set(tests.inputs)
         if missing:
             raise SimulationError(f"test set lacks inputs {sorted(missing)}")
-    return simulate_words(netlist, tests.input_words(), len(tests))
+    return position_words(netlist, tests.input_words(), len(tests))
+
+
+def simulate(netlist: Netlist, tests: TestSet) -> Dict[str, int]:
+    """Simulate a :class:`TestSet`; returns the pattern word of every net."""
+    return dict(zip(netlist.compiled().names, simulate_positions(netlist, tests)))
 
 
 def output_words(netlist: Netlist, tests: TestSet) -> Dict[str, int]:

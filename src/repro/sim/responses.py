@@ -57,34 +57,22 @@ class ResponseTable:
     def build(cls, netlist: Netlist, faults: Sequence[Fault], tests: TestSet) -> "ResponseTable":
         """Fault-simulate every fault against every test and record signatures."""
         simulator = FaultSimulator(netlist, tests)
-        output_index = {net: o for o, net in enumerate(netlist.outputs)}
+        outputs = list(enumerate(netlist.compiled().outputs))
         failing: List[Dict[int, Signature]] = []
         for fault in faults:
             per_test: Dict[int, List[int]] = {}
-            diffs = simulator.output_diffs(fault)
+            diffs = simulator.position_diffs(fault)
             # Outputs are visited in index order so each per-test list of
             # failing outputs is built already sorted.
-            for net in netlist.outputs:
-                word = diffs.get(net)
+            for o, position in outputs:
+                word = diffs.get(position)
                 if not word:
                     continue
-                o = output_index[net]
                 for j in iter_bits(word):
                     per_test.setdefault(j, []).append(o)
             failing.append({j: tuple(outs) for j, outs in per_test.items()})
         good = {net: simulator.good_values[net] for net in netlist.outputs}
-        table = cls(netlist.outputs, faults, tests, failing, good)
-        # Pre-materialise the default backend's cached view (interned
-        # columns and their detected entries for packed) while the table
-        # is hot, so builds — and the worker processes a parallel build
-        # pickles the table to — never pay the packing cost inside a
-        # timed procedure.
-        from ..kernels import available_backends, default_backend_name, get_backend
-
-        name = default_backend_name()
-        if name in available_backends():
-            get_backend(name).prepare(table)
-        return table
+        return cls(netlist.outputs, faults, tests, failing, good)
 
     # ------------------------------------------------------------------
     # dimensions

@@ -152,35 +152,34 @@ class TestIncrementalImplication:
     @settings(max_examples=200, deadline=None)
     @given(case=implication_walks())
     def test_incremental_state_equals_full_pass(self, case):
-        """After every assignment and every undo to a decision's mark, the
-        event-driven good/faulty arrays equal a full ``_imply`` pass over
-        the current assignment."""
+        """The search's starting state, and the state after every assignment
+        and every undo to a decision's mark, equal a full ``_imply`` pass
+        over the current assignment."""
         netlist, fault, steps = case
         engine = Podem(netlist)
         site, pin_sink = engine._fault_site(fault)
-        cone = engine._cone_positions(site if pin_sink is None else pin_sink)
-        good, faulty = engine._imply({}, fault, site, pin_sink, cone)
+        stuck = fault.stuck_at
+        state = engine._initial_state(site, pin_sink, stuck)
+        assert state == engine._imply({}, site, pin_sink, stuck), str(fault)
         trail = []
         decisions = []  # (pi position, trail mark before it)
         assignment = {}
         for step in steps:
             if step[0] == "assign":
-                free = [pi for pi in engine._pi_positions if pi not in assignment]
+                free = [pi for pi in sorted(engine._view.inputs) if pi not in assignment]
                 if not free:
                     continue
                 pi = free[step[1] % len(free)]
                 decisions.append((pi, len(trail)))
                 assignment[pi] = step[2]
-                engine._assign(
-                    good, faulty, trail, pi, step[2], fault, site, pin_sink, cone
-                )
+                engine._assign(state, trail, pi, step[2], site, pin_sink, stuck)
             else:
                 depth = step[1] % (len(decisions) + 1)
                 if depth == len(decisions):
                     continue
-                engine._undo(good, faulty, trail, decisions[depth][1])
+                engine._undo(state, trail, decisions[depth][1])
                 for pi, _ in decisions[depth:]:
                     del assignment[pi]
                 del decisions[depth:]
-            expected = engine._imply(assignment, fault, site, pin_sink, cone)
-            assert (good, faulty) == expected, (str(fault), step)
+            expected = engine._imply(assignment, site, pin_sink, stuck)
+            assert state == expected, (str(fault), step)

@@ -4,8 +4,20 @@ import itertools
 
 import pytest
 
-from repro.atpg.values import ONE, X, ZERO, evaluate3, not3, to_symbol
+from repro.atpg.values import (
+    ONE,
+    X,
+    ZERO,
+    evaluate3,
+    evaluate_packed,
+    faulty_value,
+    good_value,
+    not3,
+    pack,
+    to_symbol,
+)
 from repro.circuit import GateType
+from repro.circuit.compiled import CODES
 from repro.circuit.gates import evaluate_gate
 
 _GATES = [
@@ -88,3 +100,43 @@ class TestHelpers:
     def test_dff_not_evaluable(self):
         with pytest.raises(ValueError):
             evaluate3(GateType.DFF, [ONE])
+
+
+_EVALUABLE = [t for t in GateType if t not in (GateType.INPUT, GateType.DFF)]
+
+
+def _legal_fanins(gate_type):
+    """Fan-in counts from 1 to 3 the gate takes (0 for the constants)."""
+    hi = 3 if gate_type.max_inputs < 0 else gate_type.max_inputs
+    return [n for n in range(gate_type.min_inputs, hi + 1) if n or hi == 0]
+
+
+class TestPackedEvaluation:
+    """The two-machine evaluation PODEM runs, against evaluate3 per machine."""
+
+    def test_pack_round_trips(self):
+        for good in (ZERO, ONE, X):
+            for faulty in (ZERO, ONE, X):
+                state = pack(good, faulty)
+                assert (good_value(state), faulty_value(state)) == (good, faulty)
+
+    @pytest.mark.parametrize("gate_type", _EVALUABLE, ids=lambda t: t.value)
+    def test_exhaustive_against_evaluate3(self, gate_type):
+        pairs = list(itertools.product((ZERO, ONE, X), repeat=2))
+        checked = 0
+        for n in _legal_fanins(gate_type):
+            for fanin in itertools.product(pairs, repeat=n):
+                state = evaluate_packed(
+                    CODES[gate_type], [pack(g, f) for g, f in fanin]
+                )
+                goods = [g for g, _ in fanin]
+                faults = [f for _, f in fanin]
+                assert good_value(state) == evaluate3(gate_type, goods), fanin
+                assert faulty_value(state) == evaluate3(gate_type, faults), fanin
+                checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("gate_type", [GateType.INPUT, GateType.DFF])
+    def test_sources_not_evaluable(self, gate_type):
+        with pytest.raises(ValueError):
+            evaluate_packed(CODES[gate_type], [pack(ONE, ONE)])

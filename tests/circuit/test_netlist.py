@@ -3,6 +3,7 @@
 import pytest
 
 from repro.circuit import GateType, Netlist, NetlistError, from_gates
+from repro.circuit.compiled import GATE_TYPES
 
 
 def small_netlist() -> Netlist:
@@ -137,6 +138,78 @@ class TestAnalysis:
         assert len(netlist.topological_order()) == 2
         netlist.add_gate("h", GateType.NOT, ["g"])
         assert len(netlist.topological_order()) == 3
+
+
+class TestCompiledView:
+    def test_arrays_mirror_the_netlist(self):
+        netlist = small_netlist()
+        view = netlist.compiled()
+        assert list(view.names) == netlist.topological_order()
+        assert len(view) == len(netlist)
+        for i, net in enumerate(view.names):
+            gate = netlist.gates[net]
+            assert view.position[net] == i
+            assert GATE_TYPES[view.kinds[i]] is gate.gate_type
+            assert [view.names[j] for j in view.fanin[i]] == list(gate.inputs)
+            assert all(j < i for j in view.fanin[i])
+            assert [view.names[j] for j in view.fanout[i]] == list(
+                netlist.fanout_map()[net]
+            )
+            assert view.is_output[i] == (net in netlist.outputs)
+        assert [view.names[i] for i in view.inputs] == netlist.inputs
+        assert [view.names[i] for i in view.outputs] == netlist.outputs
+
+    def test_built_once(self):
+        netlist = small_netlist()
+        assert netlist.compiled() is netlist.compiled()
+
+    def test_cones_match_a_fanout_walk(self, s27_scan):
+        fanout = s27_scan.fanout_map()
+        view = s27_scan.compiled()
+        for net in s27_scan.gates:
+            reachable, stack = {net}, [net]
+            while stack:
+                for successor in fanout[stack.pop()]:
+                    if successor not in reachable:
+                        reachable.add(successor)
+                        stack.append(successor)
+            cone = view.cone(view.position[net])
+            assert list(cone) == sorted(cone)
+            assert cone[0] == view.position[net]
+            assert {view.names[i] for i in cone} == reachable
+            assert s27_scan.output_cone(net) == reachable
+            assert view.cone(view.position[net]) is cone  # cached
+
+    def test_cone_stops_at_dff(self):
+        netlist = Netlist()
+        netlist.add_input("a")
+        netlist.add_gate("q", GateType.DFF, ["d"])
+        netlist.add_gate("d", GateType.AND, ["a", "q"])
+        netlist.add_output("d")
+        view = netlist.compiled()
+        cone = {view.names[i] for i in view.cone(view.position["a"])}
+        assert cone == {"a", "d"}
+
+    def test_edits_drop_the_view(self):
+        netlist = small_netlist()
+        before = netlist.compiled()
+        netlist.add_gate("g4", GateType.AND, ["g3", "a"])
+        netlist.add_output("g4")
+        after = netlist.compiled()
+        assert after is not before
+        g4 = after.position["g4"]
+        assert [after.names[j] for j in after.fanin[g4]] == ["g3", "a"]
+        assert after.is_output[g4]
+        assert g4 in after.cone(after.position["a"])
+
+    def test_add_output_alone_drops_the_view(self):
+        netlist = small_netlist()
+        before = netlist.compiled()
+        assert not before.is_output[before.position["g1"]]
+        netlist.add_output("g1")
+        after = netlist.compiled()
+        assert after.is_output[after.position["g1"]]
+        assert [after.names[i] for i in after.outputs] == ["g3", "g1"]
 
 
 class TestEditing:

@@ -535,6 +535,31 @@ class TestSessions:
         status, doc = call(handle, "DELETE", f"/v1/sessions/{session_id}")
         assert status == 404 and doc["code"] == "unknown_session"
 
+    def test_advance_limit_bounds_the_candidates(
+        self, daemon_factory, artifact_a
+    ):
+        from repro.serve import DiagnosisSession
+
+        path, built = artifact_a
+        handle = daemon_factory(default_artifact=str(path))
+        observation = [0, list(built.table.full_row(5)[0])]
+        reference = DiagnosisSession(built.dictionary)
+        reference.observe(0, tuple(observation[1]))
+        names = [str(fault) for fault in reference.candidate_faults()]
+        assert len(names) > 1
+
+        for limit, expected in ((1, names[:1]), (0, names)):
+            _, doc = call(handle, "POST", "/v1/sessions", {})
+            session_id = doc["session"]
+            status, doc = call(
+                handle, "POST", f"/v1/sessions/{session_id}",
+                {"observations": [observation], "limit": limit},
+            )
+            assert status == 200
+            assert doc["candidates"] == expected
+            assert doc["report"]["candidates"] == len(names)
+            call(handle, "DELETE", f"/v1/sessions/{session_id}")
+
     def test_advance_on_unknown_session_is_404(
         self, daemon_factory, artifact_a
     ):

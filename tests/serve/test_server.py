@@ -378,6 +378,29 @@ class TestDeadlines:
         assert "2 observations" in outcome.detail
 
 
+class TestSessionRequests:
+    def test_limit_bounds_the_candidates(self, artifact_a):
+        from repro.serve import DiagnosisSession
+
+        path, built = artifact_a
+        server, _, _ = make_server(path)
+        observations = ((0, built.table.full_row(5)[0]),)
+        reference = DiagnosisSession(built.dictionary)
+        reference.observe(*observations[0])
+        names = [str(fault) for fault in reference.candidate_faults()]
+        assert len(names) > 1
+        with scoped_registry():
+            outcomes = server.diagnose_batch([
+                DiagnosisRequest(
+                    request_id=f"r{limit}", observations=observations, limit=limit
+                )
+                for limit in (1, 0)
+            ])
+        assert [o.code for o in outcomes] == ["ok", "ok"]
+        assert outcomes[0].exact == names[:1]
+        assert outcomes[1].exact == names
+
+
 class TestJsonl:
     def test_corrupt_line_degrades_only_itself(self, artifact_a):
         path, _ = artifact_a
