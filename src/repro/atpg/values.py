@@ -121,7 +121,9 @@ def faulty_value(state: int) -> int:
 
 
 #: States of a net whose machines are known and differ: D and D'.
-DIFFERS: Tuple[bool, ...] = tuple(s in (pack(ONE, ZERO), pack(ZERO, ONE)) for s in range(16))
+DIFFERS: Tuple[bool, ...] = tuple(
+    s in (pack(ONE, ZERO), pack(ZERO, ONE)) for s in range(16)
+)
 #: States with X in either machine.
 HAS_X: Tuple[bool, ...] = tuple((s & 3) == 3 or (s & 12) == 12 for s in range(16))
 

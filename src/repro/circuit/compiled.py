@@ -40,7 +40,9 @@ GATE_TYPES: Tuple[GateType, ...] = (
 )
 
 #: The code of each gate type.
-CODES: Dict[GateType, int] = {gate_type: code for code, gate_type in enumerate(GATE_TYPES)}
+CODES: Dict[GateType, int] = {
+    gate_type: code for code, gate_type in enumerate(GATE_TYPES)
+}
 
 #: The bit-parallel evaluator of :mod:`repro.circuit.gates` per code; None
 #: for the pattern sources (INPUT, DFF).
@@ -73,7 +75,9 @@ class CompiledNetlist:
         fanout = netlist.fanout_map()
         self.names: Tuple[str, ...] = names
         self.position: Dict[str, int] = position
-        self.kinds: Tuple[int, ...] = tuple(CODES[gates[net].gate_type] for net in names)
+        self.kinds: Tuple[int, ...] = tuple(
+            CODES[gates[net].gate_type] for net in names
+        )
         self.fanin: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(position[i] for i in gates[net].inputs) for net in names
         )

@@ -49,7 +49,9 @@ def position_words(
     return values
 
 
-def simulate_words(netlist: Netlist, input_words: Dict[str, int], num_patterns: int) -> Dict[str, int]:
+def simulate_words(
+    netlist: Netlist, input_words: Dict[str, int], num_patterns: int
+) -> Dict[str, int]:
     """Simulate all patterns at once; returns the word of every net.
 
     ``input_words`` maps every primary input net to its pattern word.

@@ -166,7 +166,8 @@ class TestIncrementalImplication:
         assignment = {}
         for step in steps:
             if step[0] == "assign":
-                free = [pi for pi in sorted(engine._view.inputs) if pi not in assignment]
+                inputs = sorted(engine._view.inputs)
+                free = [pi for pi in inputs if pi not in assignment]
                 if not free:
                     continue
                 pi = free[step[1] % len(free)]
