@@ -184,3 +184,21 @@ class TestIncrementalImplication:
                 del decisions[depth:]
             expected = engine._imply(assignment, site, pin_sink, stuck)
             assert state == expected, (str(fault), step)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_undo_over_several_decisions_restores_the_start(self, seed):
+        """A net whose good and faulty values settle under different
+        decisions sits on the trail twice; one undo back over both must
+        give it its oldest state."""
+        netlist, _ = full_scan(generate_netlist(tiny_spec(seed + 300, gates=20)))
+        engine = Podem(netlist)
+        for fault in all_faults(netlist):
+            site, pin_sink = engine._fault_site(fault)
+            stuck = fault.stuck_at
+            start = engine._imply({}, site, pin_sink, stuck)
+            state = list(start)
+            trail = []
+            for k, pi in enumerate(sorted(engine._view.inputs)):
+                engine._assign(state, trail, pi, k % 2, site, pin_sink, stuck)
+            engine._undo(state, trail, 0)
+            assert state == start and not trail, str(fault)
