@@ -17,10 +17,11 @@ outside the fault's cone needs no special case, because its fan-ins
 already carry equal good and faulty rails; only the fault site (a stem
 fault) or the sink gate (a pin fault) overrides the faulty rails.
 
-Implication is event-driven.  One full pass builds each fault's initial
-state (every input X); after that a decision propagates only from the
-input it set, gate by gate in topological order, stopping wherever
-neither machine's value changes.  Every overwritten state goes on an undo
+Implication is event-driven.  The fault-free state with every input X is
+computed once per engine; each fault starts from a copy of it, injects
+itself at its own net and propagates from there.  After that a decision
+propagates only from the input it set, gate by gate in topological order,
+stopping wherever neither machine's value changes.  Every overwritten state goes on an undo
 trail, and each decision remembers the trail length before it, so a
 backtrack pops the trail back to the flipped decision's mark instead of
 re-simulating.  Only nets in the fault's fan-out cone can carry a
