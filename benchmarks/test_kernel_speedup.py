@@ -41,8 +41,9 @@ import pytest
 
 from benchmarks.util import full_sweep, pick, quick_mode
 from repro.experiments.table6 import DEFAULT_CIRCUITS, response_table_for
-from repro.kernels import get_backend
+from repro.kernels import PackedBackend
 from repro.kernels.interning import intern_response_table
+from repro.kernels.naive import NaiveBackend
 from repro.obs import scoped_registry
 
 ROUNDS = pick(3, 2)
@@ -89,8 +90,8 @@ def _scoring_seconds(backend, table):
 
 def test_kernel_scoring_speedup(bench, tenDetect_table):
     circuit, table = tenDetect_table
-    naive = get_backend("naive")
-    packed = get_backend("packed")
+    naive = NaiveBackend()
+    packed = PackedBackend()
 
     # Pay (and measure) the packed backend's interning overhead outside
     # the timed rounds; it is a per-table one-off, not a scoring cost.
@@ -182,8 +183,8 @@ def synthetic_table(request):
 
 def test_procedure1_speedup_vs_naive(bench, synthetic_table):
     name, table, floor = synthetic_table
-    naive = get_backend("naive")
-    packed = get_backend("packed")
+    naive = NaiveBackend()
+    packed = PackedBackend()
 
     # Both backends' one-off preparation happens outside the timed
     # rounds: packed's interning, and the per-test signature groups the

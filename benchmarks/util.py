@@ -33,8 +33,7 @@ def full_sweep() -> bool:
     return bool(os.environ.get("REPRO_FULL_SWEEP"))
 
 
-def build_sd(table, *, calls=100, lower=10, seed=0, replace=True, jobs=1,
-             backend=None):
+def build_sd(table, *, calls=100, lower=10, seed=0, replace=True):
     """Same/different build through :func:`repro.api.build`.
 
     Returns ``(dictionary, report)`` like the legacy entry point, keeping
@@ -43,8 +42,7 @@ def build_sd(table, *, calls=100, lower=10, seed=0, replace=True, jobs=1,
     built = build(
         table,
         config=DictionaryConfig(
-            seed=seed, calls1=calls, lower=lower, jobs=jobs,
-            procedure2=replace, backend=backend,
+            seed=seed, calls1=calls, lower=lower, procedure2=replace
         ),
     )
     return built.dictionary, built.report

@@ -9,19 +9,12 @@ Usage::
     python examples/reproduce_table6.py                 # default sweep
     python examples/reproduce_table6.py p208 p298       # chosen circuits
     REPRO_FULL_SWEEP=1 python examples/reproduce_table6.py   # + big proxies
-    REPRO_JOBS=4 python examples/reproduce_table6.py    # parallel restarts
-    REPRO_BACKEND=naive python examples/reproduce_table6.py  # reference kernels
     REPRO_EXAMPLES_QUICK=1 python examples/reproduce_table6.py  # seconds, one cell
 
 Expect a few minutes for the default sweep (test generation dominates).
 ``REPRO_EXAMPLES_QUICK=1`` (the CI setting) shrinks the run to a single
 small cell with a reduced restart budget so the script stays a smoke
-test rather than the full evaluation.
-``REPRO_JOBS`` fans the Procedure 1 restarts out over worker processes;
-the numbers are identical to the serial run (docs/parallelism.md).
-``REPRO_BACKEND`` picks the kernel backend (``packed``, the default, or
-the pure-Python ``naive`` reference); every backend produces the same
-table bit for bit (docs/kernels.md).  Each row is built through
+test rather than the full evaluation.  Each row is built through
 :func:`repro.api.build` with a ``DictionaryConfig`` — see that module for
 the programmatic entry point.
 """
@@ -49,14 +42,13 @@ def main() -> None:
     else:
         circuits = list(DEFAULT_CIRCUITS)
 
-    jobs = int(os.environ.get("REPRO_JOBS", "1"))
     calls = 5 if quick else 100
     test_types = ("diag",) if quick else ("diag", "10det")
     rows = []
     for circuit in circuits:
         for test_type in test_types:
             start = time.perf_counter()
-            row = table6_row(circuit, test_type, seed=0, jobs=jobs, calls=calls)
+            row = table6_row(circuit, test_type, seed=0, calls=calls)
             elapsed = time.perf_counter() - start
             rows.append(row)
             print(

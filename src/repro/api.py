@@ -4,16 +4,14 @@
 
 >>> from repro.api import DictionaryConfig, build
 >>> built = build(table, kind="same-different",
-...               config=DictionaryConfig(calls1=100, jobs=4))
+...               config=DictionaryConfig(calls1=100, seed=1))
 >>> built.dictionary.indistinguished_pairs(), built.report.procedure1_calls
 
 ``build`` accepts either a prepared
 :class:`~repro.sim.responses.ResponseTable` or the raw
 ``netlist + faults + tests`` triple (it fault-simulates for you), and the
-:class:`DictionaryConfig` carries every tuning knob — including which
-kernel backend (:mod:`repro.kernels`) runs the inner loops.  The
-single-procedure helpers :func:`~repro.dictionaries.select_baselines`
-and :func:`~repro.dictionaries.replace_baselines` take the same config.
+:class:`DictionaryConfig` carries every tuning knob.  The single-procedure
+helper :func:`~repro.dictionaries.select_baselines` takes the same config.
 
 :func:`serve` is the matching serve-side entry point: it stands up a
 :class:`~repro.serve.DiagnosisServer` over packed artifacts for batch
@@ -49,17 +47,14 @@ class DictionaryConfig:
     """Every tuning knob of a dictionary build, in one frozen value.
 
     Defaults reproduce the paper's settings: ``CALLS1 = 100`` restarts,
-    ``LOWER = 10``, Procedure 2 enabled, serial execution.  ``backend``
-    selects the kernel backend by name (``None`` = the process default,
-    i.e. ``$REPRO_BACKEND`` or ``packed``).
+    ``LOWER = 10`` and Procedure 2 enabled.  ``seed`` picks the shuffled
+    test orders of the random restarts.
     """
 
     seed: int = 0
     calls1: int = 100
     lower: int = 10
-    jobs: int = 1
     procedure2: bool = True
-    backend: Optional[str] = None
 
 
 @dataclass

@@ -33,7 +33,6 @@ from .dictionaries import (
     FullDictionary,
     PassFailDictionary,
 )
-from .kernels import available_backends, backend_choices_help
 from .faults import Fault, collapse
 from .experiments import render_table6, run_table6
 from .experiments.example_tables import render_all
@@ -102,28 +101,6 @@ def _observability(args: argparse.Namespace) -> Iterator[ObsSession]:
     elif metrics_out:
         with open(metrics_out, "w") as handle:
             handle.write(registry.to_json() + "\n")
-
-
-def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for Procedure 1 restarts (1 = serial; "
-        "results are identical for any value, see docs/parallelism.md)",
-    )
-
-
-def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
-    # Choices and help both come from the kernel registry, so a newly
-    # registered backend can never drift out of the help string.
-    parser.add_argument(
-        "--backend",
-        choices=available_backends(),
-        default=None,
-        help=backend_choices_help(),
-    )
 
 
 def _add_cache_flag(parser: argparse.ArgumentParser) -> None:
@@ -266,8 +243,8 @@ def cmd_table6(args: argparse.Namespace) -> int:
     with _observability(args) as session:
         rows = run_table6(
             circuits, seed=args.seed, calls=args.calls, progress=session.progress,
-            jobs=args.jobs, backend=args.backend, cache_dir=args.cache_dir,
-            checkpoint_dir=args.checkpoint_dir, resume=args.resume,
+            cache_dir=args.cache_dir, checkpoint_dir=args.checkpoint_dir,
+            resume=args.resume,
         )
         session.out.emit(render_table6(rows))
         session.out.emit("")
@@ -285,10 +262,7 @@ def cmd_pack(args: argparse.Namespace) -> int:
         built = build_dictionary(
             table,
             kind=args.kind,
-            config=DictionaryConfig(
-                seed=args.seed, calls1=args.calls, jobs=args.jobs,
-                backend=args.backend,
-            ),
+            config=DictionaryConfig(seed=args.seed, calls1=args.calls),
             progress=session.progress,
             cache_dir=args.cache_dir,
             checkpoint_dir=args.checkpoint_dir,
@@ -330,10 +304,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             netlist, table = response_table_for(args.circuit, args.ttype, args.seed)
             built = build_dictionary(
                 table,
-                config=DictionaryConfig(
-                    seed=args.seed, calls1=args.calls, jobs=args.jobs,
-                    backend=args.backend,
-                ),
+                config=DictionaryConfig(seed=args.seed, calls1=args.calls),
                 progress=session.progress,
                 cache_dir=args.cache_dir,
                 checkpoint_dir=args.checkpoint_dir,
@@ -625,8 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     table6.add_argument("--seed", type=int, default=0)
     table6.add_argument("--calls", type=int, default=100, help="CALLS1")
-    _add_jobs_flag(table6)
-    _add_backend_flag(table6)
     _add_cache_flag(table6)
     _add_checkpoint_flags(table6)
     _add_obs_flags(table6)
@@ -643,8 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
     pack.add_argument(
         "--out", required=True, metavar="FILE", help="artifact file to write"
     )
-    _add_jobs_flag(pack)
-    _add_backend_flag(pack)
     _add_cache_flag(pack)
     _add_checkpoint_flags(pack)
     _add_obs_flags(pack)
@@ -682,8 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="admit candidates whose signature disagrees with the observed "
         "response on up to K tests (default 0 = exact matching)",
     )
-    _add_jobs_flag(diagnose)
-    _add_backend_flag(diagnose)
     _add_cache_flag(diagnose)
     _add_checkpoint_flags(diagnose)
     _add_obs_flags(diagnose)

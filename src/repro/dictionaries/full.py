@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from ..kernels import get_backend
+from .. import kernels
 from ..sim.responses import ResponseTable, Signature
 from .base import FaultDictionary
 
@@ -44,7 +44,7 @@ class FullDictionary(FaultDictionary):
         return self.table.n_tests * self.table.n_faults * self.table.n_outputs
 
     def indistinguished_pairs(self) -> int:
-        return get_backend().full_indistinguished(self.table)
+        return kernels.KERNEL.full_indistinguished(self.table)
 
     def row(self, fault_index: int) -> Tuple[Signature, ...]:
         return self._full_rows()[fault_index]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from ..kernels import get_backend
+from .. import kernels
 from ..sim.responses import PASS, ResponseTable, Signature
 from .base import FaultDictionary, rank_int_rows
 
@@ -30,7 +30,7 @@ class PassFailDictionary(FaultDictionary):
         return self.table.n_tests * self.table.n_faults
 
     def indistinguished_pairs(self) -> int:
-        return get_backend().passfail_indistinguished(self.table)
+        return kernels.KERNEL.passfail_indistinguished(self.table)
 
     def row(self, fault_index: int) -> int:
         return self._rows[fault_index]

@@ -16,8 +16,7 @@ This module implements:
   :func:`repro.api.build`): Procedure 1 re-run over shuffled test orders
   until ``calls`` consecutive calls bring no improvement (the paper's
   ``CALLS1``); restarts derive their test orders from per-restart seed
-  streams (:mod:`repro.parallel.seeds`) and can fan out over worker
-  processes with ``jobs > 1``, byte-identically to the serial path;
+  streams and fold into a :class:`~repro.dictionaries.restarts.RestartFold`;
 * **Procedure 2** (:func:`replace_baselines`): a hill-climbing pass that
   tries every alternative baseline for every test against the *global*
   distinguished-pair count;
@@ -26,10 +25,10 @@ This module implements:
   that keeps the fault-free vector where the baseline equals it
   (:meth:`SameDifferentDictionary.mixed_size_bits`).
 
-The inner loops are delegated to a pluggable kernel backend
-(:mod:`repro.kernels`): ``naive`` is the reference code kept in this
-module and ``packed`` the interned-column fast path.  Both are
-bit-identical; the backend only changes how long a build takes.
+The inner loops run on :data:`repro.kernels.KERNEL`, the interned-column
+:class:`~repro.kernels.packed.PackedBackend`.  The reference code kept in
+this module is the naive oracle (:mod:`repro.kernels.naive`) the tests
+hold those kernels to, bit for bit.
 
 Tuning comes from a :class:`~repro.api.DictionaryConfig`
 (``config=``); :func:`repro.api.build` is the one public entry point for
@@ -42,7 +41,8 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..kernels import Procedure1Run, get_backend
+from .. import kernels
+from ..kernels import Procedure1Run
 from ..obs import NullProgress, ProgressReporter, get_default_registry, trace_span
 from ..partition import (
     FaultPartition,
@@ -53,6 +53,7 @@ from ..partition import (
 )
 from ..sim.responses import PASS, ResponseTable, Signature
 from .base import FaultDictionary, rank_int_rows
+from .restarts import RestartFold, restart_order
 
 #: The selection procedures refine this partition engine in place, under
 #: its historical name.
@@ -150,10 +151,7 @@ class BuildReport:
     distinguished_procedure1: int = 0
     #: Distinguished pairs after Procedure 2 (paper's "s/d repl").
     distinguished_procedure2: int = 0
-    #: Logical Procedure 1 restarts folded into the result — identical for
-    #: serial and parallel builds of the same seed (speculative restarts a
-    #: parallel schedule computed and discarded are *not* counted here;
-    #: see the ``parallel.*`` metrics).
+    #: Procedure 1 restarts folded into the result.
     procedure1_calls: int = 0
     procedure2_passes: int = 0
     replacements: int = 0
@@ -161,10 +159,6 @@ class BuildReport:
     procedure1_seconds: float = 0.0
     #: Wall-clock seconds of Procedure 2 (0.0 when it did not run).
     procedure2_seconds: float = 0.0
-    #: Worker processes the restart loop ran on (1 = serial).
-    jobs: int = 1
-    #: Speculative batches a parallel schedule submitted (0 when serial).
-    batches: int = 0
     #: Partition classes (groups of mutually indistinguished faults) after
     #: the best Procedure 1 run / after Procedure 2 — the class-count
     #: trajectory alongside the pair counts.  ``n_faults`` means fully
@@ -214,8 +208,8 @@ def _candidate_distances(
     candidate comes first, its member list given as the *detected* faults
     (splitting on the complement is the same split).
 
-    This is the ``naive`` reference scoring; the ``packed`` backend
-    reproduces it from interned columns (see :mod:`repro.kernels`).
+    This is the naive reference scoring; the packed kernels reproduce it
+    from interned columns (see :mod:`repro.kernels`).
     """
     classes = partition.classes
     class_of = partition.class_of
@@ -295,8 +289,8 @@ def _replay_partition(
     """Rebuild the Procedure 1 partition from recorded (test, candidate) wins.
 
     Splitting on the same member lists in the same order reproduces the
-    reference partition exactly — including class order — so backends
-    whose internal partition bookkeeping differs (the packed kernel) can
+    reference partition exactly — including class order — so kernels
+    whose internal partition bookkeeping differs (the packed one) can
     still hand callers the canonical object.
     """
     partition = Partition(range(table.n_faults))
@@ -363,26 +357,12 @@ def _select_into_partition(
 
 
 def _flush_procedure1(run: Procedure1Run) -> None:
-    """One metrics flush per Procedure 1 call, identical for every backend."""
+    """One metrics flush per Procedure 1 call, identical for every kernel."""
     registry = get_default_registry()
     registry.counter("procedure1.calls").inc()
     registry.counter("procedure1.candidates_evaluated").inc(run.evaluated)
     registry.counter("procedure1.lower_cutoffs").inc(run.cutoffs)
     registry.counter("procedure1.pairs_distinguished").inc(run.distinguished)
-
-
-def _procedure1_call(
-    table: ResponseTable, order: Sequence[int], lower: int, backend
-) -> Procedure1Run:
-    """One restart on the hot path: backend kernel plus the metrics flush.
-
-    The partition is *not* materialised here — the restart fold only
-    consumes ``(distinguished, baselines)``.  Callers that need the
-    partition replay ``run.winners`` (see :func:`select_baselines`).
-    """
-    run = backend.procedure1(table, order, lower)
-    _flush_procedure1(run)
-    return run
 
 
 def select_baselines(
@@ -401,7 +381,6 @@ def select_baselines(
     candidates fail to beat the best ``dist`` seen so far.
     """
     lower = config.lower if config is not None else 10
-    backend = get_backend(config.backend if config is not None else None)
     if order is None:
         order = range(table.n_tests)
     if partition is not None:
@@ -409,7 +388,7 @@ def select_baselines(
         # reference loop has those semantics.
         run = _select_into_partition(table, order, lower, partition)
     else:
-        run = backend.procedure1(table, order, lower)
+        run = kernels.KERNEL.procedure1(table, order, lower)
         if run.partition is None:
             run.partition = _replay_partition(table, run.winners)
     _flush_procedure1(run)
@@ -431,12 +410,11 @@ def _build_impl(
     a run distinguishes every pair that remains distinguishable.  With
     ``procedure2`` the best baselines then go through Procedure 2.
 
-    ``jobs > 1`` evaluates restarts on that many worker processes via
-    :class:`~repro.parallel.scheduler.RestartScheduler`; every restart's
-    test order is derived from a per-restart seed stream, so any ``jobs``
-    value yields byte-identical baselines and counts for the same
-    ``seed``.  The result additionally never falls below the pass/fail
-    dictionary: the restart fold is seeded with the all-PASS assignment.
+    Every restart's test order is derived from a per-restart seed stream
+    (:func:`~repro.dictionaries.restarts.restart_order`), so a restart
+    can be recomputed from ``(seed, restart)`` alone.  The result never
+    falls below the pass/fail dictionary: the restart fold is seeded with
+    the all-PASS assignment.
 
     Degenerate tables (``n_tests == 0`` or ``n_faults < 2``) have nothing
     to select or distinguish; they return an all-PASS dictionary without
@@ -450,47 +428,36 @@ def _build_impl(
     :class:`~repro.store.checkpoint.CheckpointSession` is passed, is
     observed after every folded restart (writing ``RFDC`` snapshots) and,
     if it carries resume state from a killed build, restores the restart
-    fold before any restart runs — the serial loop and the parallel
-    scheduler both continue from ``fold.calls_made``, the checkpoint's
-    seed-stream position, so the resumed build is byte-identical to an
-    uninterrupted one.
+    fold before any restart runs — the loop continues from
+    ``fold.calls_made``, the checkpoint's seed-stream position, so the
+    resumed build is byte-identical to an uninterrupted one.
     """
-    # Imported here, not at module level: repro.parallel's worker imports
-    # this module, and a top-level import back would cycle.
-    from ..parallel.scheduler import RestartFold, RestartScheduler
-    from ..parallel.seeds import restart_order
-
     calls = config.calls1
-    jobs = config.jobs
     lower = config.lower
     seed = config.seed
     if calls < 1:
         raise ValueError(f"calls (CALLS1) must be >= 1, got {calls}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    backend = get_backend(config.backend)
+    kernel = kernels.KERNEL
     registry = get_default_registry()
     progress = progress if progress is not None else NullProgress()
-    report = BuildReport(n_faults=table.n_faults, jobs=jobs)
+    report = BuildReport(n_faults=table.n_faults)
 
     if table.n_tests == 0 or table.n_faults < 2:
         # No test to pick a baseline for, or no pair to distinguish.
         return SameDifferentDictionary(table, [PASS] * table.n_tests), report
 
-    # Materialise the backend's cached view (interned columns and their
-    # detected entries) now: outside the per-phase timers, and before a
-    # parallel build pickles the table to its workers — derived layouts
-    # ship with it instead of being re-derived in every worker process.
-    backend.prepare(table)
+    # Materialise the kernel's cached view (interned columns and their
+    # detected entries) now, outside the per-phase timers.
+    kernel.prepare(table)
 
     # The fold's floor is the all-PASS assignment: the pass/fail rows.
-    ceiling = total_pairs(table.n_faults) - backend.full_indistinguished(table)
+    ceiling = total_pairs(table.n_faults) - kernel.full_indistinguished(table)
     fold = RestartFold(
         calls=calls,
         ceiling=ceiling,
         baselines=[PASS] * table.n_tests,
         distinguished=total_pairs(table.n_faults)
-        - backend.passfail_indistinguished(table),
+        - kernel.passfail_indistinguished(table),
         progress=progress,
         observer=checkpoint.on_fold if checkpoint is not None else None,
     )
@@ -504,20 +471,19 @@ def _build_impl(
                 best=fold.best_distinguished,
             )
     with registry.timer("build.procedure1_seconds").time() as phase1:
-        with trace_span("build.procedure1", calls=calls, lower=lower, jobs=jobs):
-            if jobs > 1:
-                outcome = RestartScheduler(
-                    table, lower=lower, seed=seed, jobs=jobs, backend=backend.name
-                ).run(fold)
-                report.batches = outcome.batches
-            else:
-                restart = fold.calls_made
-                while not fold.done:
-                    order = restart_order(seed, restart, table.n_tests)
-                    with trace_span("procedure1.call", restart=restart):
-                        run = _procedure1_call(table, order, lower, backend)
-                    fold.consume(run.distinguished, run.baselines)
-                    restart += 1
+        with trace_span("build.procedure1", calls=calls, lower=lower):
+            # Restarts fold in index order from 0, so a fold restored from
+            # a checkpoint names the first restart still to evaluate.
+            restart = fold.calls_made
+            while not fold.done:
+                order = restart_order(seed, restart, table.n_tests)
+                with trace_span("procedure1.call", restart=restart):
+                    # The partition is not materialised: the fold only
+                    # consumes (distinguished, baselines).
+                    run = kernel.procedure1(table, order, lower)
+                    _flush_procedure1(run)
+                fold.consume(run.distinguished, run.baselines)
+                restart += 1
     best_baselines = fold.best_baselines
     best_distinguished = fold.best_distinguished
     report.procedure1_calls = fold.calls_made
@@ -533,8 +499,8 @@ def _build_impl(
     if config.procedure2 and best_distinguished < ceiling:
         with registry.timer("build.procedure2_seconds").time() as phase2:
             with trace_span("build.procedure2"):
-                replaced, improved, passes, replacements = _replace_with(
-                    backend, table, best_baselines, 10
+                replaced, improved, passes, replacements = replace_baselines(
+                    table, best_baselines
                 )
         report.procedure2_seconds = phase2.elapsed
         report.distinguished_procedure2 = improved
@@ -599,26 +565,15 @@ def replace_baselines(
     table: ResponseTable,
     baselines: Sequence[Signature],
     max_passes: int = 10,
-    *,
-    config=None,
 ) -> Tuple[List[Signature], int, int, int]:
     """Procedure 2: hill-climb individual baselines against the global count.
 
     Returns ``(baselines, distinguished, passes, replacements)``.  At most
-    ``max_passes`` passes run; ``config`` only picks the kernel backend.
-    See :func:`_replace_naive` for the exact semantics.
+    ``max_passes`` passes run.  See :func:`_replace_naive` for the exact
+    semantics.
     """
-    backend = get_backend(config.backend if config is not None else None)
-    return _replace_with(backend, table, baselines, max_passes)
-
-
-def _replace_with(
-    backend, table: ResponseTable, baselines: Sequence[Signature], max_passes: int
-) -> Tuple[List[Signature], int, int, int]:
-    """Run a backend's Procedure 2 kernel and flush its metrics."""
-    current, distinguished, passes, replacements, attempts = backend.replace(
-        table, baselines, max_passes
-    )
+    run = kernels.KERNEL.replace(table, baselines, max_passes)
+    current, distinguished, passes, replacements, attempts = run
     registry = get_default_registry()
     registry.counter("procedure2.passes").inc(passes)
     registry.counter("procedure2.attempts").inc(attempts)
@@ -795,7 +750,7 @@ def add_secondary_baselines(
     used by that test).  Tests where no candidate helps keep their
     baseline count.
     """
-    backend = get_backend()
+    kernel = kernels.KERNEL
     per_test: List[List[Signature]] = [[b] for b in dictionary.baselines]
     partition = Partition.from_groups(dictionary.row_partition())
     for _ in range(extra_per_test):
@@ -804,7 +759,7 @@ def add_secondary_baselines(
             best = None
             best_dist = 0
             consecutive_lower = 0
-            for dist, signature, members in backend.candidate_distances(
+            for dist, signature, members in kernel.candidate_distances(
                 table, j, partition
             ):
                 if signature in used:

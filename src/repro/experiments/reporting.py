@@ -105,7 +105,6 @@ def render_build_instrumentation(rows: Sequence[object]) -> str:
     headers = (
         "circuit",
         "Ttype",
-        "jobs",
         "P1 calls",
         "P1 s",
         "P1 cls",
@@ -118,7 +117,6 @@ def render_build_instrumentation(rows: Sequence[object]) -> str:
         (
             row.circuit,
             row.test_type,
-            row.build.jobs,
             row.build.procedure1_calls,
             row.build.procedure1_seconds,
             row.build.classes_after_procedure1,

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from ..api import DictionaryConfig
 from ..dictionaries import replace_baselines, select_baselines
 from ..obs import get_default_registry
 from ..faults.collapse import collapse
@@ -58,9 +57,7 @@ def scaling_study(
             baselines, _, _ = select_baselines(table)
 
         with registry.timer("scaling.procedure2_seconds").time() as procedure2:
-            replace_baselines(
-                table, baselines, max_passes=1, config=DictionaryConfig()
-            )
+            replace_baselines(table, baselines, max_passes=1)
 
         points.append(
             ScalingPoint(

@@ -132,17 +132,12 @@ def table6_row(
     lower: int = 10,
     calls: int = 100,
     progress: Optional[ProgressReporter] = None,
-    jobs: int = 1,
-    backend: Optional[str] = None,
     cache_dir=None,
     checkpoint_dir=None,
     resume: bool = False,
 ) -> Table6Row:
     """Compute one row of Table 6 (``LOWER`` and ``CALLS1`` as in the paper).
 
-    ``jobs > 1`` parallelises the Procedure 1 restarts; the row's numbers
-    are identical for every ``jobs`` value (see ``docs/parallelism.md``)
-    and for every kernel ``backend`` (see ``docs/kernels.md``).
     ``cache_dir`` reuses a previously stored build of the same cell
     (see ``docs/artifacts.md``); repeat sweeps then skip Procedures 1/2.
     ``checkpoint_dir`` / ``resume`` make each cell's restart loop
@@ -155,9 +150,7 @@ def table6_row(
         passfail = PassFailDictionary(table)
         built = build_dictionary(
             table,
-            config=DictionaryConfig(
-                seed=seed, calls1=calls, lower=lower, jobs=jobs, backend=backend
-            ),
+            config=DictionaryConfig(seed=seed, calls1=calls, lower=lower),
             progress=progress,
             cache_dir=cache_dir,
             checkpoint_dir=checkpoint_dir,
@@ -185,8 +178,6 @@ def run_table6(
     lower: int = 10,
     calls: int = 100,
     progress: Optional[ProgressReporter] = None,
-    jobs: int = 1,
-    backend: Optional[str] = None,
     cache_dir=None,
     checkpoint_dir=None,
     resume: bool = False,
@@ -202,9 +193,8 @@ def run_table6(
         rows.append(
             table6_row(
                 circuit, test_type, seed=seed, lower=lower, calls=calls,
-                progress=progress, jobs=jobs, backend=backend,
-                cache_dir=cache_dir, checkpoint_dir=checkpoint_dir,
-                resume=resume,
+                progress=progress, cache_dir=cache_dir,
+                checkpoint_dir=checkpoint_dir, resume=resume,
             )
         )
     progress.report("table6", len(cells), len(cells))

@@ -1,52 +1,26 @@
-"""Interchangeable pair-counting kernels for the dictionary procedures.
+"""The pair-counting kernels of the dictionary procedures.
 
-See :mod:`repro.kernels.base` for the :class:`KernelBackend` protocol and
-``docs/kernels.md`` for the packing layout and performance notes.  The
-two shipped backends are registered here:
-
-* ``naive`` — pure-Python reference (:mod:`repro.kernels.naive`);
-* ``packed`` — interned-column kernels (:mod:`repro.kernels.packed`),
-  the default unless ``REPRO_BACKEND`` says otherwise.
+:class:`PackedBackend` (:mod:`repro.kernels.packed`) scores from interned
+columns (:mod:`repro.kernels.interning`); ``docs/kernels.md`` has the
+layouts and performance notes.  :mod:`repro.kernels.naive` keeps the
+pure-Python reference paths as the differential oracle the tests hold
+the packed kernels to; production never imports it.
 """
 
-from .base import (
-    BACKEND_ENV,
-    DEFAULT_BACKEND,
-    KernelBackend,
-    Procedure1Run,
-    available_backends,
-    backend_choices_help,
-    backend_descriptions,
-    default_backend_name,
-    get_backend,
-    register_backend,
-)
+from .base import KernelBackend, Procedure1Run
 from .interning import InternedTable, intern_response_table
-from .naive import NaiveBackend
 from .packed import PackedBackend
 
-register_backend(
-    "naive", NaiveBackend, "pure-Python reference, the differential oracle"
-)
-register_backend(
-    "packed",
-    PackedBackend,
-    "interned columns with entry-major, then class-major scoring",
-)
+#: The kernel every dictionary procedure runs on.  Callers read it at call
+#: time, so a test can swap in the naive oracle and drive the production
+#: build through it.
+KERNEL: KernelBackend = PackedBackend()
 
 __all__ = [
-    "BACKEND_ENV",
-    "DEFAULT_BACKEND",
     "InternedTable",
+    "KERNEL",
     "KernelBackend",
-    "NaiveBackend",
     "PackedBackend",
     "Procedure1Run",
-    "available_backends",
-    "backend_choices_help",
-    "backend_descriptions",
-    "default_backend_name",
-    "get_backend",
     "intern_response_table",
-    "register_backend",
 ]

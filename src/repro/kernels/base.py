@@ -1,54 +1,28 @@
-"""The kernel backend protocol and registry.
+"""The kernel interface the dictionary procedures call.
 
-A *kernel backend* bundles the pair-counting primitives the dictionary
-procedures spend their time in: ``dist(z)`` candidate scoring for
-Procedure 1, the Procedure 2 hill-climb, and the indistinguished-pair
-counts of the pass/fail and full organisations.  Two implementations
-ship with the repo:
-
-* ``naive`` — the original pure-Python reference paths in
-  :mod:`repro.dictionaries.samediff`; trivially correct, used as the
-  differential oracle.
-* ``packed`` — interned integer signature ids over precomputed columns
-  (:mod:`repro.kernels.interning`) with entry-major, then class-major
-  scoring and detection-word skipping (:mod:`repro.kernels.packed`).
-
-Backends must be *byte-identical*: same baselines, same counts, same
-metrics, for every input.  ``REPRO_BACKEND`` selects the process-wide
-default; see ``docs/kernels.md`` for the layouts and for how to register
-another backend.
-
-The registry is the single source of truth for what exists: the CLI's
-``--backend`` choices *and* help text are generated from it
-(:func:`backend_choices_help`), so a newly registered backend can never
-drift out of the user-facing help string.
+:class:`~repro.kernels.packed.PackedBackend` implements it for every
+build; :class:`~repro.kernels.naive.NaiveBackend` implements it as the
+differential oracle the tests swap in for :data:`repro.kernels.KERNEL`.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 from ..sim.responses import ResponseTable, Signature
-
-#: Environment variable holding the default backend name.
-BACKEND_ENV = "REPRO_BACKEND"
-
-#: Name used when neither an explicit name nor the environment chooses.
-DEFAULT_BACKEND = "packed"
 
 
 @dataclass
 class Procedure1Run:
-    """Outcome of one Procedure 1 call, backend-neutral.
+    """Outcome of one Procedure 1 call.
 
     ``winners`` records, per test that split anything, ``(test_index,
     candidate_index)`` of the selected baseline (candidate 0 is the
     fault-free response) — enough to replay the splits into a
     :class:`~repro.partition.FaultPartition` when a caller needs
     the final partition, without paying for it on the restart hot path.
-    ``partition`` is pre-materialised by backends that build one anyway
+    ``partition`` is pre-materialised by kernels that build one anyway
     (the naive path); ``None`` otherwise.
     """
 
@@ -60,24 +34,21 @@ class Procedure1Run:
     partition: Optional[object] = None
 
 
-@runtime_checkable
 class KernelBackend(Protocol):
-    """The primitive operations a dictionary-construction backend provides.
+    """The pair-counting primitives of the dictionary procedures.
 
-    All methods must return values identical to the ``naive`` reference
-    backend for the same inputs — backends trade time, never results.
+    All methods must return values identical to the naive reference for
+    the same inputs — the packed kernels trade time, never results.
     """
 
     name: str
 
     def prepare(self, table: ResponseTable) -> None:
-        """Materialise whatever cached view this backend scores from.
+        """Materialise whatever cached view these kernels score from.
 
         Called once per table by the build driver, outside the per-phase
-        timers and before a parallel build pickles the table to its
-        workers — so derived layouts ship with the table instead of
-        being re-derived per worker process.  Must be idempotent; the
-        naive backend's is a no-op.
+        timers, so one-off packing never lands in a scoring timer.  Must
+        be idempotent; the naive kernels' is a no-op.
         """
         ...
 
@@ -136,75 +107,3 @@ class KernelBackend(Protocol):
         attempts)``.
         """
         ...
-
-
-_REGISTRY: Dict[str, Callable[[], KernelBackend]] = {}
-_INSTANCES: Dict[str, KernelBackend] = {}
-_DESCRIPTIONS: Dict[str, str] = {}
-
-
-def register_backend(
-    name: str, factory: Callable[[], KernelBackend], description: str = ""
-) -> None:
-    """Register a backend factory under ``name`` (last registration wins).
-
-    ``description`` is a short human-readable phrase surfaced wherever
-    the registry is rendered for users — notably the CLI ``--backend``
-    help via :func:`backend_choices_help`.
-    """
-    _REGISTRY[name] = factory
-    _DESCRIPTIONS[name] = description
-    _INSTANCES.pop(name, None)
-
-
-def available_backends() -> List[str]:
-    """Registered backend names, sorted."""
-    return sorted(_REGISTRY)
-
-
-def backend_descriptions() -> Dict[str, str]:
-    """``name -> description`` for every registered backend, name-sorted."""
-    return {name: _DESCRIPTIONS.get(name, "") for name in available_backends()}
-
-
-def backend_choices_help() -> str:
-    """The one help string describing every registered backend.
-
-    Generated from the registry so the CLI ``--backend`` flag (and any
-    other surface quoting it) can never drift from
-    :func:`available_backends` — a drift test in
-    ``tests/kernels/test_backends.py`` holds them together.
-    """
-    parts = ", ".join(
-        f"'{name}' ({description})" if description else f"'{name}'"
-        for name, description in backend_descriptions().items()
-    )
-    return (
-        f"kernel backend for the inner loops: {parts}; default "
-        f"${BACKEND_ENV} or '{DEFAULT_BACKEND}'. Results are identical "
-        f"for any choice, see docs/kernels.md"
-    )
-
-
-def default_backend_name() -> str:
-    """The process-wide default: ``$REPRO_BACKEND`` or ``packed``."""
-    return os.environ.get(BACKEND_ENV) or DEFAULT_BACKEND
-
-
-def get_backend(name: Optional[str] = None) -> KernelBackend:
-    """Resolve a backend instance by name (default: :func:`default_backend_name`).
-
-    Instances are cached per name — backends are stateless between calls.
-    """
-    resolved = name or default_backend_name()
-    instance = _INSTANCES.get(resolved)
-    if instance is None:
-        try:
-            factory = _REGISTRY[resolved]
-        except KeyError:
-            raise KeyError(
-                f"unknown kernel backend {resolved!r}; "
-                f"available: {', '.join(available_backends())}"
-            ) from None
-        instance = _INSTANCES[resolved] = factory()
-    return instance

@@ -26,10 +26,8 @@ adaptive sessions narrow and score on those.
 :attr:`InternedTable.entries` lists each test's detected ``(fault, id)``
 entries, the input of the entry-major Procedure 1 sweep.
 
-Everything is stdlib lists, dicts, ints and arrays, so an interned table
-pickles with its :class:`ResponseTable` and ships to restart worker
-processes as-is.  Interning time lands in the ``kernel.pack_seconds``
-timer.
+Everything is stdlib lists, dicts, ints and arrays.  Interning time
+lands in the ``kernel.pack_seconds`` timer.
 """
 
 from __future__ import annotations
@@ -94,7 +92,7 @@ class InternedTable:
         Interning lays them out; a view made :meth:`from_columns` derives
         them on first use as ``rows([0] * n_tests)`` — a loaded
         same/different artifact serves without ever reading them.  Cached
-        on the instance like :attr:`entries`, so they pickle with the view.
+        on the instance like :attr:`entries`.
         """
         words = self.__dict__.get("_det_words")
         if words is None:
@@ -182,8 +180,7 @@ class InternedTable:
         ``faults`` holds the indices of the faults test ``j`` detects and
         ``ids`` their (non-zero) signature ids.  Interning lays them out;
         a view made :meth:`from_columns` derives them on first use.  They
-        are cached on the instance (outside the dataclass fields), so they
-        pickle with the view to restart workers.
+        are cached on the instance, outside the dataclass fields.
         """
         entries = self.__dict__.get("_entries")
         if entries is None:

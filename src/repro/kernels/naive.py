@@ -1,13 +1,15 @@
-"""The naive reference backend: the original pure-Python paths.
+"""The naive reference kernels: the original pure-Python paths.
 
-This backend delegates to (or re-expresses) the signature-at-a-time code
-in :mod:`repro.dictionaries.samediff` that predates the kernel layer.  It
-exists as the differential oracle for ``packed`` and as the simplest
-possible statement of the procedures' semantics — every other backend
-must match it bit for bit.
+:class:`NaiveBackend` delegates to (or re-expresses) the
+signature-at-a-time code in :mod:`repro.dictionaries.samediff` that
+predates the kernel layer.  It is the differential oracle for
+:class:`~repro.kernels.packed.PackedBackend` and the simplest possible
+statement of the procedures' semantics: the packed kernels must match it
+bit for bit.  Production never imports it; the tests swap it in for
+:data:`repro.kernels.KERNEL`.
 
 The imports of ``samediff`` internals happen inside method bodies:
-``samediff`` itself imports the kernel registry at module level, and a
+``samediff`` itself imports :mod:`repro.kernels` at module level, and a
 top-level import back would cycle.
 """
 

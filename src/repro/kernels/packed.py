@@ -1,7 +1,7 @@
-"""The packed kernel backend: interned columns, counted scoring.
+"""The packed kernels: interned columns, counted scoring.
 
 Where the naive reference walks every candidate's member list with
-per-fault dict lookups, this backend scores from interned integer
+per-fault dict lookups, these kernels score from interned integer
 columns (:mod:`repro.kernels.interning`) and counts with C-level
 :class:`collections.Counter` histograms.
 
@@ -37,8 +37,8 @@ every candidate's split from one pass over those counts.
 
 Selection-loop semantics (best/``LOWER``-cutoff bookkeeping, tie-breaks,
 split conditions) replicate :func:`repro.dictionaries.samediff.select_baselines`
-exactly; the differential and property tests in ``tests/kernels`` hold the
-two backends byte-identical.
+exactly; the differential and property tests in ``tests/kernels`` hold
+them byte-identical to the naive reference.
 """
 
 from __future__ import annotations
@@ -370,10 +370,11 @@ class PackedBackend:
             # A baseline outside Z_j can't be expressed as an interned id;
             # fall back to the reference implementation (it never improves
             # anything Procedure 2 wouldn't also find from Z_j, but the
-            # public function accepts arbitrary baselines).
-            from .naive import NaiveBackend
+            # public function accepts arbitrary baselines).  Imported here:
+            # samediff imports this package at module level.
+            from ..dictionaries.samediff import _replace_naive
 
-            return NaiveBackend().replace(table, baselines, max_passes)
+            return _replace_naive(table, baselines, max_passes)
 
         rows = it.rows(current_ids)
         replacements = 0

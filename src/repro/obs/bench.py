@@ -10,7 +10,7 @@ behind.  That file — not a floor assertion in a test body — is what
 
 One result file holds:
 
-* a **host fingerprint** (platform, python, CPU count, kernel backend) so
+* a **host fingerprint** (platform, python, CPU count) so
   cross-machine comparisons are visibly cross-machine;
 * one entry per **case** — wall/CPU seconds (best of the recorded
   rounds), iteration count, derived throughput, free-form ``info`` and
@@ -53,15 +53,11 @@ def host_fingerprint() -> Dict[str, object]:
     because a wall-clock "regression" measured on different hardware is
     an observation about the hardware first.
     """
-    # Imported here: repro.kernels imports repro.obs.
-    from ..kernels.base import default_backend_name
-
     return {
         "platform": platform.platform(),
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "cpu_count": os.cpu_count() or 1,
-        "backend": default_backend_name(),
     }
 
 

@@ -207,7 +207,7 @@ class MetricsRegistry:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
     # ------------------------------------------------------------------
-    # cross-registry merging (worker → parent aggregation)
+    # cross-registry merging
     # ------------------------------------------------------------------
     def dump(self) -> Dict[str, Dict[str, object]]:
         """Render the registry as plain picklable data, losslessly enough
@@ -215,8 +215,7 @@ class MetricsRegistry:
 
         Unlike :meth:`snapshot` (which summarises timers for human/JSON
         consumption), ``dump`` keeps the raw timer state so aggregates
-        survive the round trip.  This is how worker processes ship their
-        metrics back to the parent.
+        survive the round trip.
         """
         return {
             "counters": {name: c.value for name, c in self.counters.items()},

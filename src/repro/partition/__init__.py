@@ -1,7 +1,7 @@
 """Partition refinement: the class-based pair state of the build core.
 
 One canonical home for the pair arithmetic and the refinement engine
-that the dictionary procedures, kernel backends, checkpoint records and
+that the dictionary procedures, kernels, checkpoint records and
 scale benchmarks all share.  See :mod:`repro.partition.core` for the
 representation argument and ``docs/scaling.md`` for how it changes the
 memory story at ITC-99 scale.

@@ -203,8 +203,7 @@ class ResponseTable:
     def interned(self):
         """The packed-column view (:class:`~repro.kernels.interning.InternedTable`).
 
-        Computed lazily and cached; plain lists and ints, so it pickles
-        with the table to restart worker processes.
+        Computed lazily and cached on the table.
         """
         if self._interned is None:
             from ..kernels import intern_response_table

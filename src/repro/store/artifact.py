@@ -109,13 +109,7 @@ def _as_list(value: object) -> list:
 
 
 def _build_key(kind: str, config: DictionaryConfig) -> Dict[str, object]:
-    """The config portion of the cache key.
-
-    ``jobs`` and ``backend`` are deliberately excluded: both are
-    guaranteed byte-identical to the serial/packed reference (see
-    docs/parallelism.md and docs/kernels.md), so they change how a
-    dictionary is built, never what is built.
-    """
+    """The config portion of the cache key: every config field."""
     return {
         "kind": kind,
         "seed": config.seed,
@@ -184,10 +178,9 @@ def semantic_digest(built: BuiltDictionary) -> str:
     The content hash identifies build inputs; this digest identifies
     outputs: kind, key config, chosen baselines, packed columns and the
     execution-independent report fields.  Two builds of the same inputs
-    — serial or ``jobs=N``, killed-and-resumed or uninterrupted — must
-    agree here, which is what the checkpoint determinism gates compare.
-    Wall-clock seconds, ``jobs`` and batch counts are excluded because
-    they legitimately vary run to run.
+    — killed-and-resumed or uninterrupted — must agree here, which is
+    what the checkpoint determinism gates compare.  Wall-clock seconds
+    are excluded because they legitimately vary run to run.
     """
     table = built.table
     interned = table.interned
@@ -200,13 +193,8 @@ def semantic_digest(built: BuiltDictionary) -> str:
     report = None
     if built.report is not None:
         report = built.report.as_dict()
-        for volatile in (
-            "procedure1_seconds",
-            "procedure2_seconds",
-            "jobs",
-            "batches",
-        ):
-            report.pop(volatile, None)
+        for volatile in ("procedure1_seconds", "procedure2_seconds"):
+            report.pop(volatile)
     doc = {
         "kind": built.kind,
         "build": _build_key(built.kind, built.config),

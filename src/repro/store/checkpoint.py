@@ -3,7 +3,7 @@
 An ITC-99-scale same/different build is minutes of restart folding; a
 killed process used to mean starting over.  This module gives the build
 a durable cursor: after each folded restart (throttled by ``every``) the
-exact :class:`~repro.parallel.scheduler.RestartFold` state — restart
+exact :class:`~repro.dictionaries.restarts.RestartFold` state — restart
 cursor, stale streak, best baselines, and a partition snapshot of the
 best assignment — is written atomically next to the build cache, and
 ``repro.api.build(checkpoint_dir=..., resume=True)`` restores it before
@@ -314,7 +314,7 @@ class CheckpointSession:
         return True
 
     def on_fold(self, fold) -> None:
-        """Observer for :class:`~repro.parallel.scheduler.RestartFold`.
+        """Observer for :class:`~repro.dictionaries.restarts.RestartFold`.
 
         Writes a snapshot every ``every`` folded restarts and always on
         the final one (so a kill during Procedure 2 resumes with the

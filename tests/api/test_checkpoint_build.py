@@ -91,25 +91,6 @@ class TestResumeDeterminism:
         )
         assert not checkpoint_files(tmp_path), "completion removes the cursor"
 
-    def test_resume_into_parallel_build_is_identical(self, table, tmp_path):
-        reference = build_reference(table)
-        with scoped_registry():
-            with pytest.raises(Stop):
-                build(
-                    table,
-                    config=DictionaryConfig(**CONFIG_KW),
-                    checkpoint_dir=tmp_path,
-                    progress=Interrupter(2),
-                )
-        with scoped_registry():
-            resumed = build(
-                table,
-                config=DictionaryConfig(jobs=2, **CONFIG_KW),
-                checkpoint_dir=tmp_path,
-                resume=True,
-            )
-        assert semantic_digest(resumed) == semantic_digest(reference)
-
     def test_uninterrupted_checkpointed_build_matches_plain(self, table, tmp_path):
         reference = build_reference(table)
         with scoped_registry():

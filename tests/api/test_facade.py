@@ -1,9 +1,13 @@
 """Tests for the ``repro.api`` facade: ``build``, ``serve``, ``serve_daemon``."""
 
+import dataclasses
+
 import pytest
 
+from repro import kernels
 from repro.api import KINDS, BuiltDictionary, DictionaryConfig, build
 from repro.dictionaries import FullDictionary, PassFailDictionary
+from repro.kernels.naive import NaiveBackend
 from repro.sim import ResponseTable, TestSet
 from tests.util import random_table
 
@@ -93,20 +97,36 @@ class TestConfig:
     def test_defaults_are_the_papers(self):
         config = DictionaryConfig()
         assert (config.seed, config.calls1, config.lower) == (0, 100, 10)
-        assert (config.jobs, config.procedure2, config.backend) == (1, True, None)
+        assert config.procedure2 is True
 
-    def test_backend_selection_flows_through(self):
+    def test_config_has_only_the_papers_knobs(self):
+        names = [field.name for field in dataclasses.fields(DictionaryConfig)]
+        assert names == ["seed", "calls1", "lower", "procedure2"]
+
+    def test_backend_selection_flows_through(self, monkeypatch):
+        # The test seam: the procedures read repro.kernels.KERNEL at call
+        # time, so a kernel swapped in there runs the restart loop.
+        restarts = []
+
+        class Recording(NaiveBackend):
+            def procedure1(self, table, order, lower, timings=None):
+                restarts.append(list(order))
+                return super().procedure1(table, order, lower, timings)
+
         table = random_table(10, 5, 2, seed=7)
-        a = build(table, config=DictionaryConfig(calls1=2, backend="naive"))
-        b = build(table, config=DictionaryConfig(calls1=2, backend="packed"))
-        assert a.dictionary.baselines == b.dictionary.baselines
+        packed = build(table, config=DictionaryConfig(calls1=2))
+        monkeypatch.setattr(kernels, "KERNEL", Recording())
+        naive = build(table, config=DictionaryConfig(calls1=2))
+        assert len(restarts) == naive.report.procedure1_calls > 0
+        assert naive.dictionary.baselines == packed.dictionary.baselines
 
     def test_invalid_calls_and_jobs_rejected(self):
         table = random_table(6, 4, 2, seed=8)
         with pytest.raises(ValueError, match="CALLS1"):
             build(table, config=DictionaryConfig(calls1=0))
-        with pytest.raises(ValueError, match="jobs"):
-            build(table, config=DictionaryConfig(jobs=0))
+        # Restarts always run in-process: there is no jobs knob to set.
+        with pytest.raises(TypeError, match="jobs"):
+            DictionaryConfig(jobs=2)
 
 
 class TestServeFacade:

@@ -7,6 +7,18 @@ import pytest
 from repro.circuit import GeneratorSpec, full_scan, generate_netlist, load_circuit
 from repro.faults import collapse
 from repro.sim import FaultSimulator, TestSet
+from tests.util import use_kernel
+
+
+@pytest.fixture
+def kernel_leg(request):
+    """Run the test on the kernel leg named by its (indirect) parameter.
+
+    ``"naive"`` swaps the production kernel for the naive oracle for the
+    duration of the test; ``"packed"`` runs the production kernel.
+    """
+    with use_kernel(request.param):
+        yield request.param
 
 
 @pytest.fixture(scope="session")

@@ -1,18 +1,20 @@
-"""Units for the restart engine: seed streams, the fold, the scheduler,
-seed-determinism of ``BuildReport``, and the degenerate-input guards."""
+"""The random-restart loop: seed streams, the restart fold, seed
+determinism of ``BuildReport``, the degenerate-input guards, and the
+resolution chain the fold's pass/fail floor guarantees."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.dictionaries import PassFailDictionary
-from repro.obs import scoped_registry
-from repro.parallel import (
+from repro.dictionaries import FullDictionary, PassFailDictionary, total_pairs
+from repro.dictionaries.restarts import (
     RestartFold,
-    RestartScheduler,
     derive_restart_seed,
     restart_order,
 )
+from repro.obs import scoped_registry
 from repro.sim import PASS
 from tests.util import build_sd, random_table
 
@@ -74,27 +76,12 @@ class TestRestartFold:
             RestartFold(calls=0, ceiling=1, baselines=[], distinguished=0)
 
 
-class TestSchedulerValidation:
-    def test_rejects_serial_jobs(self):
-        table = random_table(5, 3, 2, seed=0)
-        with pytest.raises(ValueError):
-            RestartScheduler(table, jobs=1)
-
-    def test_build_rejects_bad_arguments(self):
-        table = random_table(5, 3, 2, seed=0)
-        with pytest.raises(ValueError):
-            build_sd(table, calls=0)
-        with pytest.raises(ValueError):
-            build_sd(table, jobs=0)
-
-
 class TestDegenerateGuards:
     """Regression: empty test sets / sub-pair fault lists short-circuit."""
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_no_tests(self, jobs):
+    def test_no_tests(self):
         table = random_table(10, 0, 2, seed=3)
-        dictionary, report = build_sd(table, calls=3, jobs=jobs)
+        dictionary, report = build_sd(table, calls=3)
         assert report.procedure1_calls == 0
         assert report.distinguished_procedure1 == 0
         assert report.distinguished_procedure2 == 0
@@ -102,10 +89,9 @@ class TestDegenerateGuards:
         assert dictionary.indistinguished_pairs() == 45  # C(10, 2)
 
     @pytest.mark.parametrize("n_faults", [0, 1])
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_too_few_faults(self, n_faults, jobs):
+    def test_too_few_faults(self, n_faults):
         table = random_table(n_faults, 5, 2, seed=4)
-        dictionary, report = build_sd(table, calls=3, jobs=jobs)
+        dictionary, report = build_sd(table, calls=3)
         assert report.procedure1_calls == 0
         assert dictionary.baselines == (PASS,) * 5
         assert dictionary.indistinguished_pairs() == 0
@@ -114,20 +100,16 @@ class TestDegenerateGuards:
 class TestSeedDeterminism:
     """Same seed → same BuildReport trajectory, run to run."""
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_report_and_baselines_stable(self, jobs):
+    def test_report_and_baselines_stable(self):
         table = random_table(22, 11, 3, seed=31, density=0.3)
         runs = []
         for _ in range(2):
             with scoped_registry():
-                dictionary, report = build_sd(
-                    table, calls=5, seed=9, jobs=jobs
-                )
+                dictionary, report = build_sd(table, calls=5, seed=9)
             runs.append((dictionary, report))
         (dict_a, rep_a), (dict_b, rep_b) = runs
         assert dict_a.baselines == dict_b.baselines
         assert rep_a.procedure1_calls == rep_b.procedure1_calls
-        assert rep_a.batches == rep_b.batches
         assert rep_a.distinguished_procedure1 == rep_b.distinguished_procedure1
         assert rep_a.distinguished_procedure2 == rep_b.distinguished_procedure2
         assert [
@@ -146,3 +128,29 @@ class TestSeedDeterminism:
                 report.distinguished_procedure1
                 >= passfail.distinguished_pairs()
             )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    n_faults=st.integers(min_value=2, max_value=14),
+    n_tests=st.integers(min_value=1, max_value=7),
+    density=st.sampled_from([0.2, 0.5, 0.8]),
+)
+def test_resolution_chain(seed, n_faults, n_tests, density):
+    """``passfail <= s/d(P1) <= s/d(P2) <= full`` on any response table.
+
+    An implementation invariant, not a tendency: the restart fold is
+    seeded with the all-PASS assignment and Procedure 2 only keeps strict
+    improvements, so hypothesis hunts for a table where it fails.
+    """
+    table = random_table(n_faults, n_tests, 2, seed=seed, density=density)
+    passfail = PassFailDictionary(table).distinguished_pairs()
+    full = total_pairs(n_faults) - FullDictionary(table).indistinguished_pairs()
+    with scoped_registry():
+        dictionary, report = build_sd(table, calls=3, seed=seed)
+    assert passfail <= report.distinguished_procedure1
+    assert report.distinguished_procedure1 <= report.distinguished_procedure2
+    assert report.distinguished_procedure2 <= full
+    # The reported Procedure 2 count is the dictionary actually returned.
+    assert dictionary.indistinguished_pairs() == report.indistinguished_procedure2

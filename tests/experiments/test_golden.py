@@ -28,12 +28,12 @@ SEED = 0
 CALLS = 5
 
 
-def compute_rows(backend=None):
+def compute_rows():
     from repro.experiments import table6_row
 
     rows = []
     for circuit, test_type in CELLS:
-        row = table6_row(circuit, test_type, seed=SEED, calls=CALLS, backend=backend)
+        row = table6_row(circuit, test_type, seed=SEED, calls=CALLS)
         rows.append(
             {
                 "circuit": circuit,
@@ -54,9 +54,9 @@ def compute_rows(backend=None):
     return {"seed": SEED, "calls": CALLS, "rows": rows}
 
 
-def _assert_matches_golden(backend):
+def _assert_matches_golden():
     golden = json.loads(GOLDEN_PATH.read_text())
-    current = compute_rows(backend)
+    current = compute_rows()
     assert current["seed"] == golden["seed"]
     assert current["calls"] == golden["calls"]
     for got, want in zip(current["rows"], golden["rows"]):
@@ -73,10 +73,11 @@ def _assert_matches_golden(backend):
     assert len(current["rows"]) == len(golden["rows"])
 
 
-@pytest.mark.parametrize("backend", ["packed", "naive"])
-def test_table6_matches_golden(backend):
-    """Every kernel backend must reproduce the fixture bit for bit."""
-    _assert_matches_golden(backend)
+@pytest.mark.parametrize("kernel_leg", ["packed", "naive"], indirect=True)
+def test_table6_matches_golden(kernel_leg):
+    """The production kernel and the naive oracle swapped in for it must
+    both reproduce the fixture bit for bit."""
+    _assert_matches_golden()
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
-"""Differential property tests: every backend vs the naive reference.
+"""Differential property tests: the packed kernels vs the naive oracle.
 
-Every public kernel primitive must be *byte-identical* across backends —
+Every public kernel primitive must be *byte-identical* across the two —
 not statistically close, not equal-up-to-tie-breaks.  Hypothesis hunts
 for a response table where any primitive (candidate scoring, the full
 Procedure 1 run, pair counting, Procedure 2) disagrees between ``naive``
@@ -20,16 +20,15 @@ from hypothesis import strategies as st
 from repro.api import DictionaryConfig, build
 from repro.faults import Fault
 from repro.partition import Partition
-from repro.kernels import get_backend
 from repro.kernels.packed import HANDOVER_RATIO
 from repro.obs import scoped_registry
 from repro.sim import PASS, ResponseTable, TestSet
-from tests.util import distinct_table, random_table
+from tests.util import KERNELS, distinct_table, random_table, use_kernel
 
-NAIVE = get_backend("naive")
-PACKED = get_backend("packed")
+NAIVE = KERNELS["naive"]
+PACKED = KERNELS["packed"]
 
-#: Every backend that must match the reference, differential-test order.
+#: Every kernel that must match the reference, differential-test order.
 OTHERS = (PACKED,)
 
 
@@ -173,12 +172,9 @@ def _kernel_counters(registry):
     }
 
 
-def _build_result(table, seed, backend_name):
-    with scoped_registry() as registry:
-        built = build(
-            table,
-            config=DictionaryConfig(seed=seed, calls1=3, backend=backend_name),
-        )
+def _build_result(table, seed, leg):
+    with scoped_registry() as registry, use_kernel(leg):
+        built = build(table, config=DictionaryConfig(seed=seed, calls1=3))
         return (
             built.dictionary.baselines,
             [built.dictionary.row(i) for i in range(table.n_faults)],

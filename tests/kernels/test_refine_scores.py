@@ -1,6 +1,6 @@
 """Differential tests for the class-major ``refine_scores`` primitive.
 
-Every backend's ``refine_scores`` must be byte-identical to the naive
+The packed ``refine_scores`` must be byte-identical to the naive
 reference, and to the eager ``candidate_distances`` dists it replaces.  Partitions
 are driven to arbitrary refinement depths first, so the equality holds
 mid-build, not just on the trivial one-class state.
@@ -13,11 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dictionaries.samediff import _candidate_distances, _refine_scores
-from repro.kernels import get_backend
 from repro.partition import FaultPartition
-from tests.util import random_table
-
-BACKENDS = {"naive": get_backend("naive"), "packed": get_backend("packed")}
+from tests.util import KERNELS, random_table
 
 
 def _partition_at_depth(table, depth: int) -> FaultPartition:
@@ -47,18 +44,18 @@ def test_refine_scores_matches_reference_everywhere(
         # The eager reference computes the same dists with member lists.
         eager = [d for d, _, _ in _candidate_distances(table, j, partition)]
         assert reference == eager
-        for name, backend in BACKENDS.items():
-            got = list(backend.refine_scores(table, j, partition))
+        for name, kernel in KERNELS.items():
+            got = list(kernel.refine_scores(table, j, partition))
             assert got == reference, f"{name} disagrees on test {j}"
 
 
-@pytest.mark.parametrize("name", sorted(BACKENDS))
+@pytest.mark.parametrize("name", sorted(KERNELS))
 def test_refine_scores_on_singleton_partition(name):
-    """A fully-refined partition scores zero everywhere, every backend."""
+    """A fully-refined partition scores zero everywhere, on either kernel."""
     table = random_table(6, 3, 2, seed=9, density=0.9)
     partition = FaultPartition(range(6))
     partition.refine(list(range(6)))
     assert partition.all_singletons
     for j in range(table.n_tests):
-        scores = list(BACKENDS[name].refine_scores(table, j, partition))
+        scores = list(KERNELS[name].refine_scores(table, j, partition))
         assert scores == [0] * len(scores)

@@ -19,6 +19,7 @@ from repro.obs import scoped_registry
 from repro.serve import DiagnosisRequest, DiagnosisServer, ServeConfig
 from repro.store import save_artifact
 from tests.experiments.test_golden import CALLS, CELLS, SEED
+from tests.util import use_kernel
 
 
 @pytest.fixture(scope="module")
@@ -84,18 +85,19 @@ def test_capacity_one_pool_serves_golden_cells_bit_for_bit(golden_artifacts):
 
 
 def test_naive_backend_builds_and_serves_identical_cells(golden_artifacts, tmp_path):
-    """The backend used to *build* must be invisible at serve time.
+    """The kernel used to *build* must be invisible at serve time.
 
-    Each golden cell is rebuilt under the naive reference backend,
-    packed, and served — the artifacts' dictionaries and every served
-    outcome must equal the default-backend build's.
+    Each golden cell is rebuilt with the naive oracle swapped in for the
+    production kernel, packed, and served — the artifacts' dictionaries
+    and every served outcome must equal the production build's.
     """
     leg = "naive"
     for cell in CELLS:
         circuit, test_type = cell
         _, table = response_table_for(circuit, test_type, SEED)
-        config = DictionaryConfig(seed=SEED, calls1=CALLS, backend=leg)
-        rebuilt = build(table, config=config)
+        config = DictionaryConfig(seed=SEED, calls1=CALLS)
+        with use_kernel(leg):
+            rebuilt = build(table, config=config)
         _, reference = golden_artifacts[cell]
         assert rebuilt.dictionary.baselines == reference.dictionary.baselines, leg
         path = tmp_path / f"{circuit}-{test_type}-{leg}.rfd"

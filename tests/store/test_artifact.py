@@ -1,5 +1,6 @@
 """Artifact format: round trips, degenerate shapes, strict validation."""
 
+import json
 import struct
 
 import pytest
@@ -17,7 +18,7 @@ from repro.store import (
     semantic_digest,
     table_content_hash,
 )
-from tests.util import distinct_table, random_table
+from tests.util import add_retired_header_keys, distinct_table, random_table
 
 
 def _built(n_faults=8, n_tests=6, n_outputs=3, seed=1, density=0.5,
@@ -81,6 +82,19 @@ class TestRoundTrip:
         save_artifact(built, tmp_path / "a.rfd")
         save_artifact(built, tmp_path / "b.rfd")
         assert (tmp_path / "a.rfd").read_bytes() == (tmp_path / "b.rfd").read_bytes()
+
+    def test_header_with_retired_jobs_and_backend_keys_still_loads(self, tmp_path):
+        """Headers that still carry the retired ``jobs``/``backend`` config
+        keys and ``jobs``/``batches`` report keys load to the same build."""
+        built = _built()
+        path = tmp_path / "a.rfd"
+        save_artifact(built, path)
+        add_retired_header_keys(path)
+
+        loaded = load_artifact(path)
+        assert loaded.config == built.config
+        assert loaded.report.as_dict() == built.report.as_dict()
+        assert semantic_digest(loaded) == semantic_digest(built)
 
 
 class TestDegenerateShapes:
@@ -154,8 +168,6 @@ class TestValidation:
         assert blob[:4] == MAGIC
         (header_len,) = struct.unpack_from(">I", blob, preamble)
         header = blob[preamble + 4 : preamble + 4 + header_len]
-        import json
-
         doc = json.loads(header.decode("utf-8"))
         assert doc["kind"] in ("same-different", "pass-fail", "full")
 

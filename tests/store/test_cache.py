@@ -8,7 +8,7 @@ from repro.faults import collapse
 from repro.obs import scoped_registry
 from repro.sim import TestSet
 from repro.store import ARTIFACT_SUFFIX, BuildCache, build_inputs_hash
-from tests.util import random_table
+from tests.util import add_retired_header_keys, random_table
 
 
 @pytest.fixture()
@@ -68,17 +68,15 @@ class TestBuildCache:
             assert registry.counter("store.cache_misses").value == 1
 
     def test_jobs_and_backend_do_not_change_the_key(self, tmp_path, s27_inputs):
-        # Both knobs are build *mechanics* with byte-identical results, so
-        # they are excluded from the cache key by design.
+        # An entry saved while the config still carried the jobs and
+        # backend knobs sits under the same key and still hits.
         _build_s27(s27_inputs, tmp_path)
-        netlist, faults, tests = s27_inputs
+        (entry,) = tmp_path.glob(f"*{ARTIFACT_SUFFIX}")
+        add_retired_header_keys(entry)
         with scoped_registry() as registry:
-            build(
-                netlist=netlist, faults=faults, tests=tests,
-                config=DictionaryConfig(seed=0, calls1=3, jobs=2, backend="naive"),
-                cache_dir=tmp_path,
-            )
+            _build_s27(s27_inputs, tmp_path)
             assert registry.counter("store.cache_hits").value == 1
+            assert registry.counter("store.cache_misses").value == 0
 
     def test_table_and_netlist_paths_have_distinct_keys(self, tmp_path):
         table = random_table(6, 5, 2, seed=3)

@@ -9,7 +9,7 @@ import pytest
 from repro.api import DictionaryConfig
 from repro.dictionaries import FullDictionary, PassFailDictionary
 from repro.obs import scoped_registry
-from repro.parallel import RestartFold
+from repro.dictionaries.restarts import RestartFold
 from repro.partition import FaultPartition, total_pairs
 from repro.sim import PASS
 from repro.store.checkpoint import (

@@ -4,9 +4,11 @@ The fixture records, per build, the :func:`~repro.store.semantic_digest`
 (what the build produced: baselines, packed columns and the embedded
 report minus its timings) and the :func:`~repro.store.table_content_hash`
 (what it was built from) for ``repro.api.build`` at ``seed=0, calls=5``.
-Every kernel backend must reproduce both values exactly, so a change to
-the seed streams, the restart fold, Procedures 1/2, the interned columns
-or the report layout fails here even when every backend drifts together.
+The production build must reproduce both values exactly, and so must the
+same build with the naive oracle swapped in for its kernel, so a change
+to the seed streams, the restart fold, Procedures 1/2, the interned
+columns or the report layout fails here even when both kernels drift
+together.
 
 Artifact file *bytes* are deliberately not pinned: the embedded report
 carries ``procedure1_seconds``, which varies run to run.
@@ -33,7 +35,7 @@ KIND = "same-different"
 #: Pinned builds: two bundled Table-6 cells and a small ITC-99 proxy.
 CASES = ("p208-diag", "p208-10det", "b14p-2000x32")
 
-#: Kernel legs: the reference and the production backend.
+#: Kernel legs: the naive oracle and the production kernel.
 LEGS = ("naive", "packed")
 
 
@@ -49,13 +51,13 @@ def case_table(case):
     return response_table_for(circuit, test_type, SEED)[1]
 
 
-def compute_case(case, backend="packed"):
+def compute_case(case):
     """``{"semantic_digest", "table_content_hash"}`` of one pinned build."""
     from repro.api import DictionaryConfig, build
     from repro.store import semantic_digest, table_content_hash
 
     table = case_table(case)
-    config = DictionaryConfig(seed=SEED, calls1=CALLS, backend=backend)
+    config = DictionaryConfig(seed=SEED, calls1=CALLS)
     built = build(table, kind=KIND, config=config)
     return {
         "semantic_digest": semantic_digest(built),
@@ -74,13 +76,13 @@ def test_fixture_covers_every_case(golden):
     assert sorted(golden["builds"]) == sorted(CASES)
 
 
-@pytest.mark.parametrize("leg", LEGS)
+@pytest.mark.parametrize("kernel_leg", LEGS, indirect=True)
 @pytest.mark.parametrize("case", CASES)
-def test_build_matches_pinned_digests(golden, case, leg):
-    got = compute_case(case, leg)
+def test_build_matches_pinned_digests(golden, case, kernel_leg):
+    got = compute_case(case)
     want = golden["builds"][case]
     assert got == want, (
-        f"{case} under {leg} drifted (got {got}, pinned {want}) — if "
+        f"{case} under {kernel_leg} drifted (got {got}, pinned {want}) — if "
         f"intended, regenerate with `PYTHONPATH=src python {__file__} --regen`"
     )
 

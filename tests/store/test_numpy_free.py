@@ -1,22 +1,28 @@
-"""The default build → save → load path never imports numpy.
+"""The default build → save → load path stays lean: no numpy, no
+process pool.
 
 Importing numpy alone adds 13–16 MB to a process's resident set, more
-than the benchmark's 10 % ``peak_rss_mb`` bound on a build workload.  A
-fresh interpreter runs the whole default pipeline, so no import made by
-another test can hide one made here.
+than the benchmark's 10 % ``peak_rss_mb`` bound on a build workload; a
+process pool's ``multiprocessing`` machinery adds its own import time and
+memory to a build that runs its restarts in-process.  A fresh interpreter
+runs the whole default pipeline, so no import made by another test can
+hide one made here.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 PIPELINE = """
-import os, sys, tempfile
+import json, os, sys, tempfile
 from repro.api import DictionaryConfig, build
 from repro.circuit.generate import proxy_response_table
 from repro.store import load_artifact, save_artifact
@@ -28,12 +34,14 @@ with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "a.rfd")
     save_artifact(built, path)
     load_artifact(path)
-print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+print(json.dumps(sorted(sys.modules)))
 """
 
 
-def test_default_pipeline_does_not_import_numpy():
-    env = {k: v for k, v in os.environ.items() if k != "REPRO_BACKEND"}
+@pytest.fixture(scope="module")
+def pipeline_modules():
+    """Every module the default pipeline imported, in a fresh process."""
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")])
     )
@@ -42,4 +50,13 @@ def test_default_pipeline_does_not_import_numpy():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return set(json.loads(done.stdout))
+
+
+def test_default_pipeline_does_not_import_numpy(pipeline_modules):
+    assert sorted(m for m in pipeline_modules if m.split(".")[0] == "numpy") == []
+
+
+def test_build_path_starts_no_process_pool(pipeline_modules):
+    assert "multiprocessing" not in pipeline_modules
+    assert "concurrent.futures.process" not in pipeline_modules

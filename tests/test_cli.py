@@ -71,6 +71,19 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    @pytest.mark.parametrize(
+        "command",
+        [["table6", "p208"], ["pack", "p208", "--out", "x.rfd"],
+         ["diagnose", "p208"]],
+        ids=["table6", "pack", "diagnose"],
+    )
+    @pytest.mark.parametrize("flag", ["--jobs=2", "--backend=naive"])
+    def test_retired_build_flags_are_usage_errors(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestArtifactFlow:
     def test_pack_then_diagnose_from_artifact(self, capsys, tmp_path):

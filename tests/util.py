@@ -2,24 +2,40 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
+import struct
+from contextlib import contextmanager
 
+from repro import kernels
 from repro.api import DictionaryConfig, build
 from repro.faults import Fault
+from repro.kernels.naive import NaiveBackend
 from repro.sim import ResponseTable, TestSet
 
+#: The differential legs: the naive oracle and the production kernel.
+KERNELS = {"naive": NaiveBackend(), "packed": kernels.KERNEL}
 
-def build_sd(
-    table,
-    *,
-    calls=100,
-    lower=10,
-    seed=0,
-    replace=True,
-    jobs=1,
-    progress=None,
-    backend=None,
-):
+
+@contextmanager
+def use_kernel(name):
+    """Run the production dictionary code on kernel ``name`` in the block.
+
+    The test seam for the naive legs: every procedure reads
+    :data:`repro.kernels.KERNEL` at call time, so swapping it routes the
+    whole build (restart loop, Procedure 2, pair counts) through the
+    oracle.  The ``kernel_leg`` fixture in ``tests/conftest.py`` wraps it.
+    """
+    previous = kernels.KERNEL
+    kernels.KERNEL = KERNELS[name]
+    try:
+        yield
+    finally:
+        kernels.KERNEL = previous
+
+
+def build_sd(table, *, calls=100, lower=10, seed=0, replace=True, progress=None):
     """Build a same/different dictionary through the public facade.
 
     Returns ``(dictionary, report)``, so tests keep a two-value
@@ -28,16 +44,33 @@ def build_sd(
     built = build(
         table,
         config=DictionaryConfig(
-            seed=seed,
-            calls1=calls,
-            lower=lower,
-            jobs=jobs,
-            procedure2=replace,
-            backend=backend,
+            seed=seed, calls1=calls, lower=lower, procedure2=replace
         ),
         progress=progress,
     )
     return built.dictionary, built.report
+
+
+def add_retired_header_keys(path):
+    """Rewrite a saved artifact's header to the layout of builds that still
+    had the ``jobs``/``backend`` knobs, and re-seal its body checksum.
+
+    Such headers carry ``config.jobs``, ``config.backend``, ``report.jobs``
+    and ``report.batches``; the content hash in the preamble stays as it
+    was, as it did for those builds.
+    """
+    blob = path.read_bytes()
+    preamble = struct.calcsize(">4sH32s32s")
+    (header_len,) = struct.unpack_from(">I", blob, preamble)
+    start = preamble + 4
+    header = json.loads(blob[start : start + header_len])
+    header["config"].update(jobs=1, backend=None)
+    if header["report"] is not None:
+        header["report"].update(jobs=1, batches=0)
+    old = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    body = struct.pack(">I", len(old)) + old + blob[start + header_len :]
+    checksum = hashlib.sha256(body).digest()
+    path.write_bytes(blob[: preamble - len(checksum)] + checksum + body)
 
 
 def random_table(n_faults, n_tests, n_outputs, seed, density=0.5):

@@ -5,10 +5,7 @@ Every future optimization PR should start from a named hot path, not a
 guess.  This harness runs one representative workload per area —
 
 * ``build``     — same/different construction (Procedures 1 + 2),
-* ``kernels``   — the packed backend's candidate-scoring sweep,
-* ``parallel``  — the restart scheduler with ``jobs=2`` (worker-process
-                  internals run out-of-process and are profiled via the
-                  ``kernels``/``build`` areas instead),
+* ``kernels``   — the packed kernels' candidate-scoring sweep,
 * ``partition`` — the in-place refinement loop: Procedure 1 over a
                   caller-seeded ``FaultPartition`` (class-major
                   ``refine_scores`` plus ``split`` deltas) for three
@@ -84,33 +81,25 @@ def prepare_build():
 
 
 def prepare_kernels():
-    from repro.kernels import get_backend
+    from repro.kernels import PackedBackend
     from repro.kernels.interning import intern_response_table
 
     table = _table(ttype="10det")
     intern_response_table(table)
     table.interned
-    backend = get_backend("packed")
+    kernel = PackedBackend()
 
     def run():
         for _ in range(KERNEL_SWEEPS):
-            backend.procedure1(table, range(table.n_tests), 10, {})
+            kernel.procedure1(table, range(table.n_tests), 10, {})
 
     return run
-
-
-def prepare_parallel():
-    from repro.api import DictionaryConfig, build
-
-    table = _table()
-    config = DictionaryConfig(seed=0, calls1=CALLS, jobs=2, procedure2=False)
-    return lambda: build(table, config=config)
 
 
 def prepare_partition():
     from repro.circuit.generate import proxy_response_table
     from repro.dictionaries import select_baselines
-    from repro.parallel.seeds import restart_order
+    from repro.dictionaries.restarts import restart_order
     from repro.partition import FaultPartition
 
     table = proxy_response_table(
@@ -180,7 +169,6 @@ def prepare_serve(workdir: Path):
 AREAS = {
     "build": lambda workdir: prepare_build(),
     "kernels": lambda workdir: prepare_kernels(),
-    "parallel": lambda workdir: prepare_parallel(),
     "partition": lambda workdir: prepare_partition(),
     "atpg": lambda workdir: prepare_atpg(),
     "artifact": prepare_artifact,
