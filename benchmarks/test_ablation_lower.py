@@ -7,7 +7,6 @@ best dist(z) appears among the first few candidates of Z_j.
 
 import pytest
 
-from repro.api import DictionaryConfig
 from repro.dictionaries import select_baselines
 from repro.experiments.table6 import response_table_for
 from repro.kernels import PackedBackend
@@ -25,17 +24,15 @@ def test_lower_cutoff(bench, lower):
     case = bench.case(f"lower_cutoff[{label}]", LOWER=label)
 
     _, _, distinguished = case.run(
-        lambda: select_baselines(table, config=DictionaryConfig(lower=lower))
+        lambda: select_baselines(table, lower=lower)
     )
     case.info(distinguished=distinguished)
 
 
 def test_lower_cutoff_costs_little_resolution(bench):
     _, table = response_table_for("p208", "diag", seed=0)
-    _, _, with_cutoff = select_baselines(table, config=DictionaryConfig(lower=10))
-    _, _, exhaustive = select_baselines(
-        table, config=DictionaryConfig(lower=10**9)
-    )
+    _, _, with_cutoff = select_baselines(table, lower=10)
+    _, _, exhaustive = select_baselines(table, lower=10**9)
     bench.case("cutoff_resolution_cost").info(
         with_cutoff=with_cutoff, exhaustive=exhaustive
     )

@@ -11,7 +11,8 @@
 :class:`~repro.sim.responses.ResponseTable` or the raw
 ``netlist + faults + tests`` triple (it fault-simulates for you), and the
 :class:`DictionaryConfig` carries every tuning knob.  The single-procedure
-helper :func:`~repro.dictionaries.select_baselines` takes the same config.
+helper :func:`~repro.dictionaries.select_baselines` takes the one knob it
+reads, ``lower``.
 
 :func:`serve` is the matching serve-side entry point: it stands up a
 :class:`~repro.serve.DiagnosisServer` over packed artifacts for batch

@@ -370,17 +370,16 @@ def select_baselines(
     order: Optional[Sequence[int]] = None,
     partition: Optional[Partition] = None,
     *,
-    config=None,
+    lower: int = 10,
 ) -> Tuple[List[Signature], Partition, int]:
     """Procedure 1: greedy baseline selection over one test order.
 
     Returns the baselines (indexed by *test*, not by order position), the
     final partition of fault indices, and the distinguished-pair count.
-    ``config.lower`` (default 10) is the paper's ``LOWER`` constant:
-    candidate evaluation for a test stops after that many consecutive
-    candidates fail to beat the best ``dist`` seen so far.
+    ``lower`` is the paper's ``LOWER`` constant: candidate evaluation for
+    a test stops after that many consecutive candidates fail to beat the
+    best ``dist`` seen so far.
     """
-    lower = config.lower if config is not None else 10
     if order is None:
         order = range(table.n_tests)
     if partition is not None:

@@ -46,9 +46,7 @@ def lower_sweep(
     points = []
     for lower in lowers:
         with timer.time() as stopwatch:
-            _, _, distinguished = select_baselines(
-                table, config=DictionaryConfig(lower=lower)
-            )
+            _, _, distinguished = select_baselines(table, lower=lower)
         points.append(LowerPoint(lower, distinguished, stopwatch.elapsed))
     return points
 

@@ -31,9 +31,13 @@ state picks the moment it switches:
     late refinement stages — where almost every class is settled for
     almost every test — cheap.
 
-**Procedure 2** counts, per test ``j``, the classes of rows with bit
-``j`` masked out and the ``(class, id)`` pairs inside them, then reads
-every candidate's split from one pass over those counts.
+**Procedure 2** scores test ``j`` from its detected entries alone.  A
+histogram of the current rows is kept across tests (rebuilt, with the
+rows, only after a replacement).  A detected fault's class with bit
+``j`` masked out is ``K = row & ~(1 << j)``, whose size is
+``hist[K] + hist[K | 1 << j]``; counts of the detected faults per ``K``
+and per ``(K, id)`` give every candidate's split.  A class no entry
+reaches scores 0 for every candidate and is never visited.
 
 Selection-loop semantics (best/``LOWER``-cutoff bookkeeping, tie-breaks,
 split conditions) replicate :func:`repro.dictionaries.samediff.select_baselines`
@@ -376,7 +380,9 @@ class PackedBackend:
 
             return _replace_naive(table, baselines, max_passes)
 
+        entries = it.entries
         rows = it.rows(current_ids)
+        hist = Counter(rows)
         replacements = 0
         passes = 0
         attempts = 0
@@ -384,16 +390,23 @@ class PackedBackend:
             passes += 1
             improved = False
             for j in range(k):
-                colj = it.cols[j]
-                mask = ((1 << k) - 1) ^ (1 << j)
-                # Classes of the rows with bit j masked out; a class of
-                # size s with a members answering id z loses a * (s - a)
-                # indistinguished pairs when z is test j's baseline.
-                outside = list(map(mask.__and__, rows))
-                class_sizes = Counter(outside)
+                bit = 1 << j
+                mask = ((1 << k) - 1) ^ bit
+                # Class K = row & mask holds the faults whose rows are K
+                # or K | bit.  Of its s faults, d detected and a answering
+                # id z, the fault-free baseline splits d * (s - d) pairs
+                # and z splits a * (s - a); only classes with a detected
+                # member can split, so only test j's entries are read.
+                faults, ids = entries[j]
+                keys = list(map(mask.__and__, map(rows.__getitem__, faults)))
+                size_of = hist.get
                 dist = [0] * it.n_candidates(j)
-                for (key, sid), a in Counter(zip(outside, colj)).items():
-                    dist[sid] += a * (class_sizes[key] - a)
+                for (key, sid), a in Counter(zip(keys, ids)).items():
+                    dist[sid] += a * (size_of(key, 0) + size_of(key | bit, 0) - a)
+                pass_dist = 0
+                for key, d in Counter(keys).items():
+                    pass_dist += d * (size_of(key, 0) + size_of(key | bit, 0) - d)
+                dist[0] = pass_dist
                 best_id = current_ids[j]
                 best_dist = dist[best_id]
                 for sid, d in enumerate(dist):
@@ -407,14 +420,14 @@ class PackedBackend:
                     improved = True
                     replacements += 1
                     current_ids[j] = best_id
-                    bit = 1 << j
                     rows = [
                         row & mask if sid == best_id else row | bit
-                        for row, sid in zip(rows, colj)
+                        for row, sid in zip(rows, it.cols[j])
                     ]
+                    hist = Counter(rows)
             if not improved:
                 break
-        distinguished = pairs_within(n) - _grouped_pairs(rows)
+        distinguished = pairs_within(n) - sum(map(pairs_within, hist.values()))
         final = [it.sigs[j][current_ids[j]] for j in range(k)]
         return final, distinguished, passes, replacements, attempts
 

@@ -90,34 +90,6 @@ class Timer:
     def time(self) -> "Stopwatch":
         return Stopwatch(self)
 
-    def dump(self) -> Dict[str, object]:
-        """Complete mergeable state, including the retained raw samples."""
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-            "samples": list(self._samples),
-        }
-
-    def merge(self, dump: Dict[str, object]) -> None:
-        """Fold another timer's :meth:`dump` into this one.
-
-        Aggregates (count/total/min/max) stay exact; samples are adopted
-        up to :data:`MAX_TIMER_SAMPLES`, so percentiles after a merge are
-        estimates over whichever samples fit first.
-        """
-        self.count += int(dump.get("count", 0))
-        self.total += float(dump.get("total", 0.0))
-        for bound, pick in (("min", min), ("max", max)):
-            theirs = dump.get(bound)
-            if theirs is not None:
-                ours = getattr(self, bound)
-                setattr(self, bound, theirs if ours is None else pick(ours, theirs))
-        room = MAX_TIMER_SAMPLES - len(self._samples)
-        if room > 0:
-            self._samples.extend(dump.get("samples", ())[:room])
-
     def percentile(self, q: float) -> Optional[float]:
         """Nearest-rank percentile of the retained samples (q in [0, 100])."""
         if not self._samples:
@@ -206,42 +178,6 @@ class MetricsRegistry:
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
-    # ------------------------------------------------------------------
-    # cross-registry merging
-    # ------------------------------------------------------------------
-    def dump(self) -> Dict[str, Dict[str, object]]:
-        """Render the registry as plain picklable data, losslessly enough
-        to be merged into another registry with :meth:`merge_dump`.
-
-        Unlike :meth:`snapshot` (which summarises timers for human/JSON
-        consumption), ``dump`` keeps the raw timer state so aggregates
-        survive the round trip.
-        """
-        return {
-            "counters": {name: c.value for name, c in self.counters.items()},
-            "gauges": {name: g.value for name, g in self.gauges.items()},
-            "timers": {name: t.dump() for name, t in self.timers.items()},
-        }
-
-    def merge_dump(self, dump: Dict[str, Dict[str, object]]) -> None:
-        """Fold a :meth:`dump` into this registry.
-
-        Counters add, timers aggregate, and gauges are last-writer-wins —
-        the same semantics the instruments have in-process.  Instruments
-        missing here are created, so merging into a fresh registry
-        reconstructs the dumped one.
-        """
-        for name, value in dump.get("counters", {}).items():
-            self.counter(name).inc(value)
-        for name, value in dump.get("gauges", {}).items():
-            self.gauge(name).set(value)
-        for name, timer_dump in dump.get("timers", {}).items():
-            self.timer(name).merge(timer_dump)
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry's instruments into this one."""
-        self.merge_dump(other.dump())
-
 
 class NullRegistry(MetricsRegistry):
     """A registry whose instruments discard everything (the opt-out).
@@ -293,9 +229,6 @@ class _NullTimer(Timer):
         super().__init__("null")
 
     def record(self, seconds: float) -> None:
-        pass
-
-    def merge(self, dump: Dict[str, object]) -> None:
         pass
 
 

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import DictionaryConfig
 from repro.dictionaries import (
     FullDictionary,
     PassFailDictionary,
@@ -114,10 +113,8 @@ class TestProcedure1:
 
     def test_lower_infinite_scans_all_candidates(self):
         table = random_table(20, 6, 3, seed=9)
-        _, _, with_cutoff = select_baselines(
-            table, config=DictionaryConfig(lower=10**9)
-        )
-        _, _, default = select_baselines(table, config=DictionaryConfig(lower=10))
+        _, _, with_cutoff = select_baselines(table, lower=10**9)
+        _, _, default = select_baselines(table, lower=10)
         # The exhaustive scan can only be at least as good per greedy step.
         assert with_cutoff >= 0 and default >= 0
 

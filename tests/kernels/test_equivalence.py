@@ -6,7 +6,8 @@ for a response table where any primitive (candidate scoring, the full
 Procedure 1 run, pair counting, Procedure 2) disagrees between ``naive``
 and ``packed``, including tables shaped so that packed's Procedure 1
 hands over from its entry-major to its class-major phase at the first
-test, in mid-order, or never.
+test, in mid-order, or never, and Procedure 2 runs that start from
+random baselines.
 """
 
 from __future__ import annotations
@@ -45,6 +46,17 @@ def tables(draw, min_faults=0, max_faults=14, min_tests=0, max_tests=7):
 def _run_tuple(run):
     return (run.baselines, run.distinguished, run.evaluated, run.cutoffs,
             run.winners)
+
+
+def _table(failing, n_tests, n_outputs):
+    """A response table of per-fault ``{test: signature}`` dicts."""
+    return ResponseTable(
+        tuple(f"z{o}" for o in range(n_outputs)),
+        [Fault(f"f{i}", 0) for i in range(len(failing))],
+        TestSet(("i0",), [0] * n_tests),
+        failing,
+        {f"z{o}": 0 for o in range(n_outputs)},
+    )
 
 
 @settings(max_examples=40, deadline=None)
@@ -95,14 +107,7 @@ def handover_tables(draw):
             if position == dense or rng.random() < (0.1 if sparse else density):
                 outputs = rng.sample(range(n_outputs), rng.randint(1, n_outputs))
                 failing[i][j] = tuple(sorted(outputs))
-    table = ResponseTable(
-        tuple(f"z{o}" for o in range(n_outputs)),
-        [Fault(f"f{i}", 0) for i in range(n_faults)],
-        TestSet(("i0",), [0] * n_tests),
-        failing,
-        {f"z{o}": 0 for o in range(n_outputs)},
-    )
-    return shape, order, quiet, table
+    return shape, order, quiet, _table(failing, n_tests, n_outputs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -147,16 +152,107 @@ def test_pair_counts_identical(table):
         assert other.full_indistinguished(table) == want_full, name
 
 
-@settings(max_examples=20, deadline=None)
-@given(table=tables(min_faults=2, min_tests=1), max_passes=st.sampled_from([1, 10]))
-def test_replace_identical(table, max_passes):
-    """Procedure 2: identical trajectory, not just an equal final count."""
-    baselines = NAIVE.procedure1(table, range(table.n_tests), 10).baselines
+def _random_baselines(table, rng):
+    """One baseline per test, drawn uniformly from its ``Z_j``."""
+    return [
+        rng.choice(table.candidate_signatures(j)) for j in range(table.n_tests)
+    ]
+
+
+def _replace_agrees(table, baselines, max_passes=10):
+    """``(baselines, distinguished, passes, replacements, attempts)``,
+    asserted identical across the kernels."""
     reference = NAIVE.replace(table, baselines, max_passes)
     for other in OTHERS:
         assert other.replace(table, baselines, max_passes) == reference, (
             other.name
         )
+    return reference
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    table=tables(min_faults=2, min_tests=1),
+    max_passes=st.sampled_from([1, 10]),
+    start=st.sampled_from(["procedure1", "random"]),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_replace_identical(table, max_passes, start, seed):
+    """Procedure 2: identical trajectory, not just an equal final count.
+
+    It starts from Procedure 1's baselines, or from baselines drawn at
+    random from each ``Z_j``: a failing signature as the current
+    baseline, replacements mid-pass and several passes.
+    """
+    if start == "procedure1":
+        baselines = NAIVE.procedure1(table, range(table.n_tests), 10).baselines
+    else:
+        baselines = _random_baselines(table, random.Random(seed))
+    _replace_agrees(table, baselines, max_passes)
+
+
+class TestReplaceShapes:
+    """Procedure 2 shapes the random tables rarely or never draw, each
+    from Procedure 1's baselines and from random ones."""
+
+    def _starts(self, table, seeds=range(4)):
+        yield NAIVE.procedure1(table, range(table.n_tests), 10).baselines
+        for seed in seeds:
+            yield _random_baselines(table, random.Random(seed))
+
+    def test_random_start_replaces_over_several_passes(self):
+        # The property test's random start reaches the paths a Procedure 1
+        # start seldom does: at least two replacements and a second pass.
+        table = random_table(14, 6, 3, seed=5)
+        final, _, passes, replacements, _ = _replace_agrees(
+            table, _random_baselines(table, random.Random(1))
+        )
+        assert passes >= 2 and replacements >= 2
+        assert any(b != PASS for b in final)
+
+    def test_two_byte_column(self):
+        # Test 0 answers with 290 distinct signatures (|Z_0| = 291), so its
+        # column and its entries' ids are two-byte arrays.
+        rng = random.Random(7)
+        failing = []
+        for i in range(600):
+            row = {} if i % 7 == 0 else {0: (i % 290,)}
+            for j in (1, 2, 3):
+                if rng.random() < 0.5:
+                    row[j] = (290 + rng.randrange(3),)
+            failing.append(row)
+        table = _table(failing, 4, 293)
+        assert table.interned.cols[0].typecode == "H"
+        assert table.interned.entries[0][1].typecode == "H"
+        for baselines in self._starts(table):
+            _replace_agrees(table, baselines)
+
+    def test_a_test_that_detects_no_fault(self):
+        # Test 2 detects nothing: |Z_2| = 1 and its entries are empty.
+        rng = random.Random(8)
+        failing = [
+            {j: (rng.randrange(3),) for j in (0, 1, 3) if rng.random() < 0.6}
+            for _ in range(16)
+        ]
+        table = _table(failing, 4, 3)
+        assert len(table.interned.entries[2][0]) == 0
+        for baselines in self._starts(table):
+            final, *_ = _replace_agrees(table, baselines)
+            assert final[2] == PASS
+
+    def test_a_test_that_detects_every_fault(self):
+        # Test 1 detects all 16 faults: the fault-free baseline splits
+        # nothing there, only its failing candidates can.
+        rng = random.Random(9)
+        failing = []
+        for _ in range(16):
+            row = {j: (rng.randrange(3),) for j in (0, 2) if rng.random() < 0.5}
+            row[1] = (rng.randrange(3),)
+            failing.append(row)
+        table = _table(failing, 3, 3)
+        assert len(table.interned.entries[1][0]) == table.n_faults
+        for baselines in self._starts(table):
+            _replace_agrees(table, baselines)
 
 
 def _strip_seconds(report_dict):
