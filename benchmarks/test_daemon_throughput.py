@@ -52,7 +52,8 @@ def daemon_cell(tmp_path_factory):
     handle = start_in_thread(DaemonConfig(
         port=0,
         default_artifact=str(path),
-        serve=ServeConfig(workers=4, pool_size=2),
+        serve=ServeConfig(pool_size=2),
+        workers=4,
         max_inflight=2 * CLIENTS,
     ))
     try:

@@ -25,7 +25,7 @@ from repro.api import DictionaryConfig, build
 from repro.diagnosis.engine import Diagnoser
 from repro.experiments.table6 import response_table_for
 from repro.obs import scoped_registry
-from repro.serve import DiagnosisRequest, DiagnosisServer, ServeConfig
+from repro.serve import DiagnoseRequest, DiagnosisServer, ServeConfig
 from repro.store import save_artifact
 
 ROUNDS = pick(3, 2)
@@ -46,7 +46,7 @@ def packed_cell(tmp_path_factory):
 def request_list(built):
     n_faults = built.table.n_faults
     return [
-        DiagnosisRequest(
+        DiagnoseRequest(
             request_id=f"r{i}",
             fault=str(built.table.faults[(i * 13) % n_faults]),
         )
@@ -72,14 +72,14 @@ def test_warm_pool_batch_throughput(bench, packed_cell):
 
     with scoped_registry():
         server = DiagnosisServer(
-            ServeConfig(workers=4, pool_size=2),
+            ServeConfig(pool_size=2),
             default_artifact=str(path),
         )
         server.pool.get(path)  # warm the pool: steady-state serving
         outcomes = server.diagnose_batch(requests)
     # Correctness before speed: batch results equal the one-shot flow.
     expected = one_shot_results(path, built, requests)
-    assert [(o.request_id, o.exact) for o in outcomes] == expected
+    assert [(o.request_id, list(o.exact)) for o in outcomes] == expected
     assert all(o.code == "ok" for o in outcomes)
 
     one_shot_case = bench.case("one_shot", requests=REQUESTS)
@@ -92,7 +92,7 @@ def test_warm_pool_batch_throughput(bench, packed_cell):
 
         with scoped_registry() as registry:
             server = DiagnosisServer(
-                ServeConfig(workers=4, pool_size=2),
+                ServeConfig(pool_size=2),
                 default_artifact=str(path),
             )
             server.pool.get(path)

@@ -42,7 +42,7 @@ def main() -> None:
     chip_two = observe_fault(netlist, tests, faults[7])
 
     # ---- serve side: one batch, mixed request flavours ----------------
-    server = serve(artifact, config=ServeConfig(deadline_ms=500, workers=2))
+    server = serve(artifact, config=ServeConfig(deadline_ms=500))
     requests = [
         {"id": "chip-1", "observed": [list(sig) for sig in chip_one]},
         {"id": "chip-2", "observed": [list(sig) for sig in chip_two]},
@@ -51,17 +51,17 @@ def main() -> None:
         {"id": "incremental",
          "observations": [[j, list(chip_one[j])] for j in range(6)]},
     ]
-    outcomes = server.serve_jsonl(json.dumps(doc) + "\n" for doc in requests)
+    results = server.serve_jsonl(json.dumps(doc) + "\n" for doc in requests)
     print("\nbatch outcomes (no request can fail the batch):")
-    for outcome in outcomes:
+    for result in results:
         extra = ""
-        if outcome.code == "ok" and outcome.exact:
-            extra = f" exact={outcome.exact}"
-        elif outcome.narrowing:
-            extra = f" narrowing={outcome.narrowing}"
-        elif outcome.detail:
-            extra = f" ({outcome.detail})"
-        print(f"  {outcome.request_id:>12}: {outcome.code}{extra}")
+        if result.code == "ok" and result.exact:
+            extra = f" exact={list(result.exact)}"
+        elif result.narrowing:
+            extra = f" narrowing={list(result.narrowing)}"
+        elif result.detail:
+            extra = f" ({result.detail})"
+        print(f"  {result.request_id:>12}: {result.code}{extra}")
 
     # ---- incremental session with greedy next-test suggestion ---------
     session = server.session(str(artifact))

@@ -16,12 +16,14 @@ reads, ``lower``.
 
 :func:`serve` is the matching serve-side entry point: it stands up a
 :class:`~repro.serve.DiagnosisServer` over packed artifacts for batch
-and session diagnosis (see ``docs/serving.md``):
+and session diagnosis (see ``docs/serving.md``).  Each request goes in
+as a :class:`~repro.serve.DiagnoseRequest` and comes out as one
+:class:`~repro.serve.DiagnoseResult`, in request order:
 
 >>> from repro.api import serve
 >>> from repro.serve import ServeConfig
 >>> server = serve("p208.rfd", config=ServeConfig(deadline_ms=250))
->>> outcomes = server.serve_jsonl(open("chips.jsonl"))
+>>> results = server.serve_jsonl(open("chips.jsonl"))
 
 and :func:`serve_daemon` wraps that server in the asyncio network
 daemon (``docs/daemon.md``) for the long-running deployment shape.
@@ -169,9 +171,10 @@ def serve(artifact=None, *, config=None):
 
     ``artifact`` is the default artifact path for requests that do not
     name their own; ``config`` is a :class:`~repro.serve.ServeConfig`
-    carrying the whole operating envelope (pool size, workers, deadline,
-    retry policy, default candidate limit).  Returns a
-    :class:`~repro.serve.DiagnosisServer`; see ``docs/serving.md`` for
+    carrying the whole operating envelope (pool size, deadline, retry
+    policy, fleet defaults).  Returns a
+    :class:`~repro.serve.DiagnosisServer`, which serves a batch in
+    request order on the calling thread; see ``docs/serving.md`` for
     batch semantics and reason codes.
     """
     # Imported lazily: repro.serve imports repro.store, which imports us.
@@ -205,8 +208,9 @@ def serve_daemon(
     other arguments must then be left at their defaults); otherwise one
     is assembled from ``artifact``, ``serve_config``, ``host``/``port``
     and any remaining ``DaemonConfig`` fields passed as keywords
-    (``max_inflight=``, ``tenant_quotas=``, ...).  Protocol and
-    operations guidance live in ``docs/daemon.md``.
+    (``workers=``, ``max_inflight=``, ``tenant_quotas=``, ...).  The
+    daemon's ``workers`` threads are the serve layer's one pool.
+    Protocol and operations guidance live in ``docs/daemon.md``.
     """
     from .serve import ServeConfig
     from .serve.daemon import DaemonConfig, DiagnosisDaemon

@@ -131,7 +131,22 @@ def _add_checkpoint_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_fleet_diagnosis_flags(parser: argparse.ArgumentParser) -> None:
+def _add_serve_flags(parser: argparse.ArgumentParser) -> None:
+    """The per-request policy flags that ``serve`` and ``daemon`` share."""
+    parser.add_argument(
+        "--pool-size", type=int, default=8, metavar="N",
+        help="max loaded artifacts resident in the LRU pool (default 8)",
+    )
+    parser.add_argument(
+        "--deadline-ms", type=float, default=None, metavar="MS",
+        help="per-request deadline in milliseconds (default: none); an "
+        "expired request degrades to a deadline_expired result",
+    )
+    parser.add_argument(
+        "--max-retries", type=int, default=2, metavar="N",
+        help="retries (with exponential backoff) on transient artifact "
+        "errors before an artifact_error result (default 2)",
+    )
     parser.add_argument(
         "--max-faults", type=int, default=1, metavar="M",
         help="server default for requests without max_faults=: search "
@@ -146,6 +161,20 @@ def _add_fleet_diagnosis_flags(parser: argparse.ArgumentParser) -> None:
         "--strategy", choices=("greedy", "entropy"), default="greedy",
         help="session test-suggestion strategy for requests without "
         "strategy= (default greedy)",
+    )
+
+
+def _serve_config(args: argparse.Namespace):
+    """The :class:`~repro.serve.ServeConfig` of :func:`_add_serve_flags`."""
+    from .serve import ServeConfig
+
+    return ServeConfig(
+        pool_size=args.pool_size,
+        deadline_ms=args.deadline_ms,
+        max_retries=args.max_retries,
+        max_faults=args.max_faults,
+        flip_budget=args.flip_budget,
+        strategy=args.strategy,
     )
 
 
@@ -380,20 +409,11 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from .serve import DiagnosisServer, ServeConfig
+    from .serve import DiagnosisServer
 
     with _observability(args) as session:
         try:
-            config = ServeConfig(
-                pool_size=args.pool_size,
-                workers=args.workers,
-                deadline_ms=args.deadline_ms,
-                max_retries=args.max_retries,
-                limit=args.limit,
-                max_faults=args.max_faults,
-                flip_budget=args.flip_budget,
-                strategy=args.strategy,
-            )
+            config = _serve_config(args)
         except ValueError as exc:
             print(f"serve: {exc}", file=sys.stderr)
             return 1
@@ -407,26 +427,26 @@ def cmd_serve(args: argparse.Namespace) -> int:
             except OSError as exc:
                 print(f"serve: cannot read requests: {exc}", file=sys.stderr)
                 return 1
-        outcomes = server.serve_jsonl(lines)
-        if not outcomes:
+        results = server.serve_jsonl(lines)
+        if not results:
             print("serve: the request file holds no requests", file=sys.stderr)
             return 1
-        rendered = "\n".join(outcome.to_json_line() for outcome in outcomes)
+        rendered = "\n".join(result.to_json_line() for result in results)
         if args.out:
             with open(args.out, "w") as handle:
                 handle.write(rendered + "\n")
         else:
-            # Outcomes are the machine output of this command: stdout,
+            # Results are the machine output of this command: stdout,
             # with the human summary on stderr (like --metrics-out -).
             print(rendered)
         by_code: dict = {}
-        for outcome in outcomes:
-            by_code[outcome.code] = by_code.get(outcome.code, 0) + 1
+        for result in results:
+            by_code[result.code] = by_code.get(result.code, 0) + 1
         summary = ", ".join(
             f"{code}={count}" for code, count in sorted(by_code.items())
         )
         print(
-            f"served {len(outcomes)} requests: {summary}",
+            f"served {len(results)} requests: {summary}",
             file=sys.stderr,
         )
     return 0
@@ -436,7 +456,6 @@ def cmd_daemon(args: argparse.Namespace) -> int:
     import asyncio
     import signal
 
-    from .serve import ServeConfig
     from .serve.daemon import DaemonConfig, DiagnosisDaemon
 
     try:
@@ -451,16 +470,8 @@ def cmd_daemon(args: argparse.Namespace) -> int:
         config = DaemonConfig(
             host=args.host,
             port=args.port,
-            serve=ServeConfig(
-                pool_size=args.pool_size,
-                workers=args.workers,
-                deadline_ms=args.deadline_ms,
-                max_retries=args.max_retries,
-                limit=args.limit,
-                max_faults=args.max_faults,
-                flip_budget=args.flip_budget,
-                strategy=args.strategy,
-            ),
+            serve=_serve_config(args),
+            workers=args.workers,
             default_artifact=args.artifact,
             max_inflight=args.max_inflight,
             max_batch=args.max_batch,
@@ -481,7 +492,7 @@ def cmd_daemon(args: argparse.Namespace) -> int:
             host, port = await daemon.start()
             print(
                 f"daemon: listening on http://{host}:{port} "
-                f"(workers={config.serve.workers}, "
+                f"(workers={config.workers}, "
                 f"max_inflight={config.max_inflight})",
                 file=sys.stderr,
                 flush=True,
@@ -677,46 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write outcome JSONL here instead of stdout",
     )
-    serve.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="per-request deadline in milliseconds (default: none); an "
-        "expired request degrades to a deadline_expired outcome",
-    )
-    serve.add_argument(
-        "--pool-size",
-        type=int,
-        default=8,
-        metavar="N",
-        help="max loaded artifacts resident in the LRU pool (default 8)",
-    )
-    serve.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="retries (with exponential backoff) on transient artifact "
-        "errors before an artifact_error outcome (default 2)",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        metavar="N",
-        help="worker threads for batch fan-out (outcomes are identical "
-        "for any value; default 4)",
-    )
-    serve.add_argument(
-        "--limit",
-        type=int,
-        default=10,
-        metavar="N",
-        help="ranked candidates per outcome for requests without limit= "
-        "(default 10)",
-    )
-    _add_fleet_diagnosis_flags(serve)
+    _add_serve_flags(serve)
     _add_obs_flags(serve)
     serve.set_defaults(func=cmd_serve)
 
@@ -741,26 +713,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP port to bind (default 8132; 0 = kernel-assigned)",
     )
     daemon.add_argument(
-        "--pool-size", type=int, default=8, metavar="N",
-        help="max loaded artifacts resident in the LRU pool (default 8)",
-    )
-    daemon.add_argument(
         "--workers", type=int, default=4, metavar="N",
-        help="diagnosis worker threads behind the event loop (default 4)",
-    )
-    daemon.add_argument(
-        "--deadline-ms", type=float, default=None, metavar="MS",
-        help="per-request deadline in milliseconds (default: none); an "
-        "expired request degrades to a deadline_expired result",
-    )
-    daemon.add_argument(
-        "--max-retries", type=int, default=2, metavar="N",
-        help="retries on transient artifact errors (default 2)",
-    )
-    daemon.add_argument(
-        "--limit", type=int, default=10, metavar="N",
-        help="ranked candidates per result for requests without limit= "
-        "(default 10)",
+        help="diagnosis worker threads behind the event loop; a batch "
+        "runs on one of them (default 4)",
     )
     daemon.add_argument(
         "--max-inflight", type=int, default=16, metavar="N",
@@ -794,7 +749,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="admission-slot cap for tenants without an explicit "
         "--tenant-quota (default: only the global --max-inflight applies)",
     )
-    _add_fleet_diagnosis_flags(daemon)
+    _add_serve_flags(daemon)
     _add_obs_flags(daemon)
     daemon.set_defaults(func=cmd_daemon)
 

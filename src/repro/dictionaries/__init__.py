@@ -9,7 +9,7 @@ from .compressed import (
 from .full import FullDictionary
 from .passfail import PassFailDictionary
 from ..partition import (
-    Partition,
+    FaultPartition,
     indistinguished_pairs,
     pairs_within,
     refine,
@@ -42,12 +42,12 @@ __all__ = [
     "CountDictionary",
     "DictionarySizes",
     "DropOnDetectDictionary",
-    "FirstFailDictionary",
     "FaultDictionary",
+    "FaultPartition",
+    "FirstFailDictionary",
     "FullDictionary",
     "MultiBaselineDictionary",
     "PackedDictionary",
-    "Partition",
     "PassFailDictionary",
     "SameDifferentDictionary",
     "ScoredCandidate",

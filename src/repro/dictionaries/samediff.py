@@ -55,10 +55,6 @@ from ..sim.responses import PASS, ResponseTable, Signature
 from .base import FaultDictionary, rank_int_rows
 from .restarts import RestartFold, restart_order
 
-#: The selection procedures refine this partition engine in place, under
-#: its historical name.
-Partition = FaultPartition
-
 
 class SameDifferentDictionary(FaultDictionary):
     """A same/different dictionary for a fixed baseline assignment."""
@@ -198,7 +194,7 @@ class BuildReport:
 # Procedure 1
 # ----------------------------------------------------------------------
 def _candidate_distances(
-    table: ResponseTable, test_index: int, partition: Partition
+    table: ResponseTable, test_index: int, partition: FaultPartition
 ) -> List[Tuple[int, Signature, List[int]]]:
     """(dist, signature, members) per candidate of ``Z_j``, in ``Z_j`` order.
 
@@ -285,7 +281,7 @@ def _candidate_members(
 
 def _replay_partition(
     table: ResponseTable, winners: Sequence[Tuple[int, int]]
-) -> Partition:
+) -> FaultPartition:
     """Rebuild the Procedure 1 partition from recorded (test, candidate) wins.
 
     Splitting on the same member lists in the same order reproduces the
@@ -293,7 +289,7 @@ def _replay_partition(
     whose internal partition bookkeeping differs (the packed one) can
     still hand callers the canonical object.
     """
-    partition = Partition(range(table.n_faults))
+    partition = FaultPartition(range(table.n_faults))
     for test_index, candidate_index in winners:
         partition.split(_candidate_members(table, test_index, candidate_index))
     return partition
@@ -368,10 +364,10 @@ def _flush_procedure1(run: Procedure1Run) -> None:
 def select_baselines(
     table: ResponseTable,
     order: Optional[Sequence[int]] = None,
-    partition: Optional[Partition] = None,
+    partition: Optional[FaultPartition] = None,
     *,
     lower: int = 10,
-) -> Tuple[List[Signature], Partition, int]:
+) -> Tuple[List[Signature], FaultPartition, int]:
     """Procedure 1: greedy baseline selection over one test order.
 
     Returns the baselines (indexed by *test*, not by order position), the
@@ -751,7 +747,7 @@ def add_secondary_baselines(
     """
     kernel = kernels.KERNEL
     per_test: List[List[Signature]] = [[b] for b in dictionary.baselines]
-    partition = Partition.from_groups(dictionary.row_partition())
+    partition = FaultPartition.from_groups(dictionary.row_partition())
     for _ in range(extra_per_test):
         for j in range(table.n_tests):
             used = set(per_test[j])

@@ -90,11 +90,6 @@ class BitReader:
         return (word >> (start % 8)) & ((1 << width) - 1)
 
 
-#: Backwards-compatible aliases for the pre-refactor private names.
-_BitWriter = BitWriter
-_BitReader = BitReader
-
-
 def _signature_to_bits(table: ResponseTable, signature: Signature, test_index: int) -> int:
     """Baseline/response vector as an integer over the m output bits."""
     vector = table.signature_to_vector(signature, test_index)
@@ -147,7 +142,7 @@ class PackedDictionary:
 
 def pack_passfail(dictionary: PassFailDictionary) -> PackedDictionary:
     table = dictionary.table
-    writer = _BitWriter()
+    writer = BitWriter()
     for i in range(table.n_faults):
         writer.write(dictionary.row(i), table.n_tests)
     assert writer.bit_count == dictionary.size_bits
@@ -160,7 +155,7 @@ def pack_passfail(dictionary: PassFailDictionary) -> PackedDictionary:
 def unpack_passfail(packed: PackedDictionary, table: ResponseTable) -> PassFailDictionary:
     if packed.kind != "pass/fail":
         raise ValueError(f"expected pass/fail payload, got {packed.kind!r}")
-    reader = _BitReader(packed.payload)
+    reader = BitReader(packed.payload)
     dictionary = PassFailDictionary(table)
     for i in range(table.n_faults):
         row = reader.read(table.n_tests)
@@ -171,7 +166,7 @@ def unpack_passfail(packed: PackedDictionary, table: ResponseTable) -> PassFailD
 
 def pack_samediff(dictionary: SameDifferentDictionary) -> PackedDictionary:
     table = dictionary.table
-    writer = _BitWriter()
+    writer = BitWriter()
     for j in range(table.n_tests):
         writer.write(
             _signature_to_bits(table, dictionary.baselines[j], j), table.n_outputs
@@ -188,7 +183,7 @@ def pack_samediff(dictionary: SameDifferentDictionary) -> PackedDictionary:
 def unpack_samediff(packed: PackedDictionary, table: ResponseTable) -> SameDifferentDictionary:
     if packed.kind != "same/different":
         raise ValueError(f"expected same/different payload, got {packed.kind!r}")
-    reader = _BitReader(packed.payload)
+    reader = BitReader(packed.payload)
     baselines: List[Signature] = []
     for j in range(table.n_tests):
         baselines.append(_bits_to_signature(table, reader.read(table.n_outputs), j))
@@ -202,7 +197,7 @@ def unpack_samediff(packed: PackedDictionary, table: ResponseTable) -> SameDiffe
 
 def pack_full(dictionary: FullDictionary) -> PackedDictionary:
     table = dictionary.table
-    writer = _BitWriter()
+    writer = BitWriter()
     for i in range(table.n_faults):
         for j in range(table.n_tests):
             writer.write(
@@ -218,7 +213,7 @@ def pack_full(dictionary: FullDictionary) -> PackedDictionary:
 def unpack_full(packed: PackedDictionary, table: ResponseTable) -> FullDictionary:
     if packed.kind != "full":
         raise ValueError(f"expected full payload, got {packed.kind!r}")
-    reader = _BitReader(packed.payload)
+    reader = BitReader(packed.payload)
     for i in range(table.n_faults):
         for j in range(table.n_tests):
             bits = reader.read(table.n_outputs)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Set, Tuple
 
 from ..sim.responses import ResponseTable
-from ..partition import Partition
+from ..partition import FaultPartition
 
 
 def select_tests_preserving_detection(table: ResponseTable) -> List[int]:
@@ -58,7 +58,7 @@ def select_tests_preserving_resolution(table: ResponseTable) -> List[int]:
     target = _full_partition_classes(table)
     target_count = len(target)
 
-    partition = Partition(range(table.n_faults))
+    partition = FaultPartition(range(table.n_faults))
     chosen: List[int] = []
     remaining = set(range(table.n_tests))
     while len(partition.classes) < target_count and remaining:
@@ -89,7 +89,9 @@ def _prune(chosen: List[int], preserves) -> List[int]:
     return sorted(kept)
 
 
-def _split_gain(table: ResponseTable, test_index: int, partition: Partition) -> int:
+def _split_gain(
+    table: ResponseTable, test_index: int, partition: FaultPartition
+) -> int:
     gain = 0
     class_of = partition.class_of
     classes = partition.classes

@@ -26,9 +26,9 @@ from typing import Dict, List, Tuple
 
 from ..dictionaries import (
     DictionarySizes,
+    FaultPartition,
     FullDictionary,
     PassFailDictionary,
-    Partition,
     SameDifferentDictionary,
     select_baselines,
 )
@@ -109,7 +109,9 @@ def render_table3() -> str:
     )
 
 
-def selection_trace(test_index: int, partition: Partition) -> List[Tuple[str, int]]:
+def selection_trace(
+    test_index: int, partition: FaultPartition
+) -> List[Tuple[str, int]]:
     """dist(z) per candidate of ``Z_j`` against ``partition`` (Tables 4/5)."""
     table = example_table()
     trace = []
@@ -122,7 +124,7 @@ def selection_trace(test_index: int, partition: Partition) -> List[Tuple[str, in
 def render_tables_4_and_5() -> str:
     """Tables 4 and 5: the baseline-selection traces for t0 and then t1."""
     table = example_table()
-    partition = Partition(range(table.n_faults))
+    partition = FaultPartition(range(table.n_faults))
     trace0 = selection_trace(0, partition)
     # Apply the t0 selection (z_bl,0 = 01) before tracing t1, as the paper does.
     best = max(trace0, key=lambda item: item[1])

@@ -19,14 +19,9 @@ from .core import (
 )
 from .reference import MaterializedPairPartition
 
-#: Historical name, kept as a true alias: ``Partition`` grew into
-#: :class:`FaultPartition`.
-Partition = FaultPartition
-
 __all__ = [
     "FaultPartition",
     "MaterializedPairPartition",
-    "Partition",
     "indistinguished_after_split",
     "indistinguished_pairs",
     "pairs_within",

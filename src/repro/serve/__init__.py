@@ -1,4 +1,4 @@
-"""Batch diagnosis serving: pool, server, sessions, structured outcomes.
+"""Batch diagnosis serving: pool, server, sessions, typed results.
 
 The build side of the repo ends at an on-disk artifact
 (:mod:`repro.store`); this package is the other half of the paper's
@@ -7,44 +7,39 @@ The build side of the repo ends at an on-disk artifact
 * :class:`ArtifactPool` — a bounded LRU pool of loaded (memory-mapped at
   load time) artifacts keyed by content hash, with single-flight load
   deduplication;
-* :class:`DiagnosisServer` — batch fan-out over a worker pool with
-  per-request deadlines, retry-with-backoff on transient artifact
-  errors, and graceful degradation to reason-coded
-  :class:`DiagnosisOutcome` values;
+* :class:`DiagnosisServer` — serves each :class:`DiagnoseRequest` with
+  a per-request deadline, retry-with-backoff on transient artifact
+  errors, and graceful degradation to a reason-coded
+  :class:`DiagnoseResult`; a batch is served in request order on the
+  calling thread;
 * :class:`DiagnosisSession` — incremental multi-observation diagnosis
   that narrows the candidate set test by test and reports when
   resolution stops improving.
 
 All three entry points — ``repro.api.serve()`` (the facade),
 ``repro-fd serve`` (JSONL batches) and ``repro-fd daemon`` (the asyncio
-network daemon, :mod:`repro.serve.daemon`) — speak the typed, versioned
-wire schemas of :mod:`repro.serve.schemas`.  Semantics, sizing guidance
-and the reason-code table live in ``docs/serving.md``; the daemon
-protocol in ``docs/daemon.md``.
+network daemon, :mod:`repro.serve.daemon`) — take the same
+:class:`DiagnoseRequest` in and give the same :class:`DiagnoseResult`
+out, the typed, versioned wire schemas of :mod:`repro.serve.schemas`.
+Semantics, sizing guidance and the reason-code table live in
+``docs/serving.md``; the daemon protocol in ``docs/daemon.md``.
 """
 
-from .outcomes import (
+from .pool import ArtifactPool, PoolEntry
+from .schemas import (
     ARTIFACT_ERROR,
     BAD_REQUEST,
     DEADLINE_EXPIRED,
     INTERNAL_ERROR,
     OK,
     REASON_CODES,
-    UNMODELED_RESPONSE,
-    BadRequest,
-    DiagnosisOutcome,
-    DiagnosisRequest,
-    parse_batch_docs,
-    parse_jsonl,
-    parse_request,
-)
-from .pool import ArtifactPool, PoolEntry
-from .schemas import (
     SCHEMA_VERSION,
+    UNMODELED_RESPONSE,
     DiagnoseRequest,
     DiagnoseResult,
     SchemaError,
     SessionAdvance,
+    parse_jsonl,
 )
 from .server import DiagnosisServer, ServeConfig
 from .session import DiagnosisSession, SessionUpdate
@@ -53,12 +48,9 @@ __all__ = [
     "ARTIFACT_ERROR",
     "ArtifactPool",
     "BAD_REQUEST",
-    "BadRequest",
     "DEADLINE_EXPIRED",
     "DiagnoseRequest",
     "DiagnoseResult",
-    "DiagnosisOutcome",
-    "DiagnosisRequest",
     "DiagnosisServer",
     "DiagnosisSession",
     "INTERNAL_ERROR",
@@ -71,7 +63,5 @@ __all__ = [
     "SessionAdvance",
     "SessionUpdate",
     "UNMODELED_RESPONSE",
-    "parse_batch_docs",
     "parse_jsonl",
-    "parse_request",
 ]

@@ -10,10 +10,12 @@ Division of labour:
 
 * the **event loop** owns framing, routing, admission control, quotas
   and session bookkeeping — nothing on the loop blocks;
-* a **worker executor** (``config.serve.workers`` threads) runs the
-  actual diagnosis via :meth:`DiagnosisServer.diagnose_one`, so the
-  deadline/retry/degradation semantics of the batch server apply to
-  every network request unchanged.
+* a **worker executor** (``config.workers`` threads, the serve layer's
+  one pool) runs the actual diagnosis via
+  :meth:`DiagnosisServer.diagnose_one`, so the deadline/retry/degradation
+  semantics of the batch server apply to every network request
+  unchanged.  A batch is one work unit: one worker serves its requests
+  in order and starts no further threads.
 
 Admission is a bounded in-flight counter, not a queue: once
 ``max_inflight`` work units are running, further work is answered
@@ -40,7 +42,6 @@ from typing import Dict, Optional, Tuple
 
 from ...obs import get_default_registry
 from .. import metrics as M
-from ..outcomes import parse_batch_docs
 from ..pool import ArtifactPool
 from ..schemas import (
     BAD_REQUEST,
@@ -49,6 +50,7 @@ from ..schemas import (
     DiagnoseResult,
     SchemaError,
     SessionAdvance,
+    parse_document,
 )
 from ..server import DiagnosisServer, ServeConfig
 from ..session import DiagnosisSession
@@ -59,8 +61,9 @@ from . import http as H
 class DaemonConfig:
     """Operating envelope of one :class:`DiagnosisDaemon`.
 
-    ``serve`` carries the per-request policy (workers, deadline,
-    retries) — the daemon adds only network-facing knobs on top.
+    ``serve`` carries the per-request policy (deadline, retries, fleet
+    defaults); ``workers`` sizes the executor that runs diagnosis, the
+    serve layer's only thread pool.  The rest are network-facing knobs.
     ``max_inflight`` bounds concurrently *running* work units (a batch
     counts as one); ``tenant_quotas`` bounds named tenants below that,
     and ``default_tenant_quota`` applies to tenants not named (``None``
@@ -71,6 +74,7 @@ class DaemonConfig:
     host: str = "127.0.0.1"
     port: int = 0  # 0 = let the kernel pick (tests); CLI defaults to 8132
     serve: ServeConfig = field(default_factory=ServeConfig)
+    workers: int = 4
     default_artifact: Optional[str] = None
     max_inflight: int = 16
     max_batch: int = 256
@@ -83,6 +87,8 @@ class DaemonConfig:
     spool_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.max_inflight < 1:
             raise ValueError(
                 f"max_inflight must be >= 1, got {self.max_inflight}"
@@ -215,7 +221,7 @@ class DiagnosisDaemon:
         if self._state != "idle":
             raise RuntimeError(f"daemon already {self._state}")
         self._executor = ThreadPoolExecutor(
-            max_workers=self.config.serve.workers,
+            max_workers=self.config.workers,
             thread_name_prefix="repro-daemon",
         )
         self._listener = await asyncio.start_server(
@@ -430,7 +436,7 @@ class DiagnosisDaemon:
                 "capacity": self.pool.capacity,
                 "pinned": len(self.pool.pinned_hashes()),
             },
-            "workers": self.config.serve.workers,
+            "workers": self.config.workers,
         }
 
     # ------------------------------------------------------------------
@@ -489,12 +495,12 @@ class DiagnosisDaemon:
         if rejected:
             return rejected
         try:
-            outcome = await self._run_in_worker(
+            result = await self._run_in_worker(
                 self.server.diagnose_one, parsed
             )
         finally:
             self._admission.release(tenant)
-        return 200, DiagnoseResult.from_outcome(outcome).as_dict()
+        return 200, result.as_dict()
 
     async def _handle_batch(self, request: H.HttpRequest):
         doc = request.json_body()
@@ -518,8 +524,11 @@ class DiagnosisDaemon:
         if rejected:
             return rejected
         try:
-            entries = parse_batch_docs(raw)
-            outcomes = await self._run_in_worker(
+            entries = [
+                parse_document(doc, number=number)
+                for number, doc in enumerate(raw, start=1)
+            ]
+            results = await self._run_in_worker(
                 self.server.diagnose_batch, entries
             )
         finally:
@@ -527,10 +536,7 @@ class DiagnosisDaemon:
         return 200, {
             "schema": SCHEMA_VERSION,
             "results": [
-                DiagnoseResult.from_outcome(outcome).as_dict(
-                    include_schema=False
-                )
-                for outcome in outcomes
+                result.as_dict(include_schema=False) for result in results
             ],
         }
 

@@ -58,8 +58,6 @@ DAEMON_ARTIFACTS_EVICTED = "serve.daemon.artifacts_evicted"
 # -- gauges ------------------------------------------------------------
 #: Resident entries in the artifact pool after the last access.
 POOL_SIZE = "serve.pool_size"
-#: Worker threads of the last batch.
-WORKERS = "serve.workers"
 #: Admitted daemon work units currently in flight.
 DAEMON_INFLIGHT = "serve.daemon.inflight"
 #: Multi-observation sessions currently held open by the daemon.
@@ -91,7 +89,7 @@ def catalog() -> dict:
     The outcome counters are enumerated from the reason codes so the
     docs test sees the expanded names, not the prefix.
     """
-    from .outcomes import REASON_CODES
+    from .schemas import REASON_CODES
 
     return {
         "counters": [
@@ -118,7 +116,6 @@ def catalog() -> dict:
         ],
         "gauges": [
             POOL_SIZE,
-            WORKERS,
             DAEMON_INFLIGHT,
             DAEMON_OPEN_SESSIONS,
             DAEMON_READY,

@@ -7,19 +7,37 @@ the same frozen dataclasses defined here:
 
 * :class:`DiagnoseRequest` — one failing-chip lookup (``observed=``,
   ``fault=`` or ``observations=``), optionally tenant-tagged;
-* :class:`DiagnoseResult` — the wire form of a
-  :class:`~repro.serve.outcomes.DiagnosisOutcome`;
+* :class:`DiagnoseResult` — the one result of a request, degraded or
+  not, as the server builds it and the wire carries it;
 * :class:`SessionAdvance` — one step of an incremental
   multi-observation session over the daemon.
 
-Each type round-trips through ``from_dict`` / ``as_dict``.  Documents
-carry a ``"schema"`` field (:data:`SCHEMA_VERSION`); a missing field
-means "current", any other value is rejected — so a client built against
-a future layout degrades to a reason-coded error instead of being
+Requests and session advances are parsed with ``from_dict`` and written
+with ``as_dict``; results are only written.  Documents carry a
+``"schema"`` field (:data:`SCHEMA_VERSION`); a missing field means
+"current", any other value is rejected — so a client built against a
+future layout degrades to a reason-coded error instead of being
 half-parsed.  Validation is strict and every failure raises
 :class:`SchemaError` with a reason code (``bad_request`` unless stated
 otherwise) and a precise human detail, which the batch server and the
-daemon surface verbatim.
+daemon surface verbatim.  :func:`parse_document` turns one batch
+document into a request, or into the ``bad_request`` result that takes
+its place; :func:`parse_jsonl` adds the JSON decode of a JSONL stream.
+
+Reason codes (also surfaced as ``serve.outcomes.<code>`` counters and
+documented in ``docs/serving.md``):
+
+===================  ====================================================
+``ok``               diagnosis ran; ``exact``/``ranked`` are meaningful
+``bad_request``      the request itself is malformed (unparseable JSON,
+                     missing/contradictory fields, negative limit)
+``unmodeled_response``  the observed response does not fit the
+                     dictionary: wrong test count, output index out of
+                     range, or a named fault absent from the catalogue
+``deadline_expired`` the per-request deadline passed before a result
+``artifact_error``   the artifact failed to load after every retry
+``internal_error``   an unexpected exception; the batch still completes
+===================  ====================================================
 
 The shapes deliberately mirror the ``DiagnoseRequest`` /
 ``DiagnoseResponseItem`` pydantic pair of the FastAPI diagnose-flow this
@@ -31,13 +49,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from ..sim.responses import Signature
 from .session import STRATEGIES
 
 #: Version of the request/result wire layout; bump on incompatible change.
 SCHEMA_VERSION = 1
+
+#: Ranked candidates (or session candidates) a request without ``limit``
+#: gets back.
+DEFAULT_LIMIT = 10
 
 # Reason codes an outcome (or a daemon transport error) can carry.
 OK = "ok"
@@ -179,7 +201,7 @@ class DiagnoseRequest:
     fault: Optional[str] = None
     artifact: Optional[str] = None
     observations: Optional[Tuple[Tuple[int, Signature], ...]] = None
-    limit: int = 10
+    limit: int = DEFAULT_LIMIT
     tenant: Optional[str] = None
     max_faults: Optional[int] = None
     flip_budget: Optional[int] = None
@@ -280,7 +302,7 @@ class DiagnoseRequest:
             fault=fault,
             artifact=artifact,
             observations=observations,
-            limit=_parse_limit(doc.get("limit", 10)),
+            limit=_parse_limit(doc.get("limit", DEFAULT_LIMIT)),
             tenant=tenant,
             max_faults=max_faults,
             flip_budget=flip_budget,
@@ -303,7 +325,7 @@ class DiagnoseRequest:
             doc["observations"] = [
                 [test, list(sig)] for test, sig in self.observations
             ]
-        if self.limit != 10:
+        if self.limit != DEFAULT_LIMIT:
             doc["limit"] = self.limit
         if self.tenant is not None:
             doc["tenant"] = self.tenant
@@ -324,7 +346,7 @@ class DiagnoseRequest:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class DiagnoseResult:
-    """The frozen wire form of one diagnosis outcome.
+    """The result of one request, degraded or not.
 
     ``code`` is one of :data:`REASON_CODES`; the optional blocks
     (``narrowing``/``converged`` for session requests, ``policy`` for
@@ -349,29 +371,6 @@ class DiagnoseResult:
     def ok(self) -> bool:
         return self.code == OK
 
-    @classmethod
-    def from_outcome(cls, outcome) -> "DiagnoseResult":
-        """Freeze a (mutable, in-process) ``DiagnosisOutcome`` for the wire."""
-        policy = outcome.policy
-        return cls(
-            request_id=outcome.request_id,
-            code=outcome.code,
-            exact=tuple(outcome.exact),
-            ranked=tuple((name, score) for name, score in outcome.ranked),
-            detail=outcome.detail,
-            attempts=outcome.attempts,
-            elapsed_seconds=outcome.elapsed_seconds,
-            narrowing=(
-                tuple(outcome.narrowing)
-                if outcome.narrowing is not None else None
-            ),
-            converged=outcome.converged,
-            policy=(
-                tuple(sorted(policy.items())) if policy is not None else None
-            ),
-            suggested_test=outcome.suggested_test,
-        )
-
     def as_dict(self, *, include_schema: bool = True) -> Dict[str, object]:
         doc: Dict[str, object] = {
             "id": self.request_id,
@@ -395,57 +394,58 @@ class DiagnoseResult:
             doc["suggested_test"] = self.suggested_test
         return doc
 
-    @classmethod
-    def from_dict(cls, doc: object) -> "DiagnoseResult":
-        """Parse a wire result (the client side of the daemon protocol)."""
-        if not isinstance(doc, dict):
-            raise SchemaError(
-                f"result must be a JSON object, got {type(doc).__name__}"
-            )
-        _check_schema_field(doc, what="result")
-        request_id = doc.get("id")
-        code = doc.get("code")
-        if not isinstance(request_id, str) or not request_id:
-            raise SchemaError(f"result id must be a string, got {request_id!r}")
-        if code not in REASON_CODES:
-            raise SchemaError(f"result code {code!r} is not a reason code")
-        ranked = doc.get("ranked", [])
-        if not isinstance(ranked, list):
-            raise SchemaError(f"result ranked must be a list, got {ranked!r}")
-        policy = doc.get("policy")
-        if policy is not None and not isinstance(policy, dict):
-            raise SchemaError(f"result policy must be an object, got {policy!r}")
-        narrowing = doc.get("narrowing")
-        suggested = doc.get("suggested_test")
-        if suggested is not None and (
-            isinstance(suggested, bool) or not isinstance(suggested, int)
-            or suggested < 0
-        ):
-            raise SchemaError(
-                f"result suggested_test must be a non-negative integer, "
-                f"got {suggested!r}"
-            )
-        return cls(
-            request_id=request_id,
-            code=code,
-            exact=tuple(str(name) for name in doc.get("exact", [])),
-            ranked=tuple((str(n), int(s)) for n, s in ranked),
-            detail=str(doc.get("detail", "")),
-            attempts=int(doc.get("attempts", 1)),
-            elapsed_seconds=float(doc.get("elapsed_seconds", 0.0)),
-            narrowing=(
-                tuple(int(n) for n in narrowing)
-                if narrowing is not None else None
-            ),
-            converged=doc.get("converged"),
-            policy=(
-                tuple(sorted(policy.items())) if policy is not None else None
-            ),
-            suggested_test=suggested,
+    def to_json_line(self) -> str:
+        """One ``repro-fd serve`` output line: the document sans schema."""
+        return json.dumps(self.as_dict(include_schema=False), sort_keys=True)
+
+
+def parse_document(
+    doc: object, *, number: int, where: str = "request"
+) -> Union[DiagnoseRequest, DiagnoseResult]:
+    """Validate the ``number``-th document of a batch (counted from 1).
+
+    Returns the :class:`DiagnoseRequest`, or — when validation fails —
+    the ``bad_request`` :class:`DiagnoseResult` that takes its place, so
+    one malformed document degrades that request and never the batch.
+    The default id is ``request-<number>``, and the detail of a failure
+    starts with ``<where> <number>:``.
+    """
+    default_id = f"request-{number}"
+    try:
+        return DiagnoseRequest.from_dict(doc, default_id=default_id)
+    except SchemaError as exc:
+        request_id = default_id
+        if isinstance(doc, dict) and isinstance(doc.get("id"), str):
+            request_id = doc["id"]
+        return DiagnoseResult(
+            request_id=request_id, code=exc.code,
+            detail=f"{where} {number}: {exc}",
         )
 
-    def to_json_line(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
+
+def parse_jsonl(
+    lines: Iterable[str],
+) -> List[Union[DiagnoseRequest, DiagnoseResult]]:
+    """Decode a JSONL request stream, one entry per non-blank line.
+
+    Lines are numbered as in the file, blank lines included; a line that
+    is not JSON becomes a ``bad_request`` result in its place.
+    """
+    parsed: List[Union[DiagnoseRequest, DiagnoseResult]] = []
+    for number, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            parsed.append(DiagnoseResult(
+                request_id=f"request-{number}", code=BAD_REQUEST,
+                detail=f"line {number}: invalid JSON: {exc}",
+            ))
+            continue
+        parsed.append(parse_document(doc, number=number, where="line"))
+    return parsed
 
 
 # ----------------------------------------------------------------------
@@ -466,7 +466,7 @@ class SessionAdvance:
     session_id: str
     observations: Tuple[Tuple[int, Signature], ...] = ()
     suggest: bool = False
-    limit: int = 10
+    limit: int = DEFAULT_LIMIT
     strategy: Optional[str] = None
 
     #: Wire fields ``from_dict`` accepts (anything else is rejected).
@@ -512,7 +512,7 @@ class SessionAdvance:
             session_id=sid,
             observations=observations,
             suggest=suggest,
-            limit=_parse_limit(doc.get("limit", 10)),
+            limit=_parse_limit(doc.get("limit", DEFAULT_LIMIT)),
             strategy=strategy,
         )
 
@@ -527,7 +527,7 @@ class SessionAdvance:
             ]
         if self.suggest:
             doc["suggest"] = True
-        if self.limit != 10:
+        if self.limit != DEFAULT_LIMIT:
             doc["limit"] = self.limit
         if self.strategy is not None:
             doc["strategy"] = self.strategy

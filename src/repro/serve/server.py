@@ -1,17 +1,19 @@
-"""The batch diagnosis server: fan-out, deadlines, retries, degradation.
+"""The batch diagnosis server: deadlines, retries, degradation.
 
 :class:`DiagnosisServer` turns the one-shot ``Diagnoser`` flow into a
-service loop: a batch of observed-response requests is fanned out across
-a thread pool, every request carries its own deadline and retry budget,
-and **no request outcome can fail the batch** — malformed input, an
-unloadable artifact or a blown deadline each degrade to a structured
-:class:`~repro.serve.outcomes.DiagnosisOutcome` with a reason code.
+service loop: each :class:`~repro.serve.schemas.DiagnoseRequest` carries
+its own deadline and retry budget, and **no request can fail the
+batch** — malformed input, an unloadable artifact or a blown deadline
+each degrade to a :class:`~repro.serve.schemas.DiagnoseResult` with a
+reason code.
 
-Determinism: an outcome is a pure function of its request and the
-artifact bytes (the workers share nothing mutable per request beyond the
-pool, whose entries are immutable once loaded), and the batch result
-preserves request order — so the same batch produces the same outcome
-list for any ``workers`` value.  ``tests/serve/test_determinism.py``
+A batch is served in request order on the calling thread.  The server
+starts no threads: the daemon's worker executor is the serve layer's
+one pool, and it runs a whole batch as one work unit.
+
+Determinism: a result is a pure function of its request and the
+artifact bytes (requests share nothing mutable beyond the pool, whose
+entries are immutable once loaded).  ``tests/serve/test_determinism.py``
 holds that line.
 
 Time is injectable (``clock``/``sleep``) so deadline and backoff
@@ -21,27 +23,25 @@ behaviour is tested with a fake clock rather than real sleeps.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, List, Optional, Union
 
+from ..diagnosis.multiplet import match_multiplets
 from ..obs import get_default_registry, trace_span
-from ..sim.responses import PASS
 from ..store import ArtifactError
 from . import metrics as M
-from .outcomes import (
+from .pool import ArtifactPool, PoolEntry
+from .schemas import (
     ARTIFACT_ERROR,
     BAD_REQUEST,
     DEADLINE_EXPIRED,
     INTERNAL_ERROR,
     OK,
     UNMODELED_RESPONSE,
-    DiagnosisOutcome,
-    DiagnosisRequest,
+    DiagnoseRequest,
+    DiagnoseResult,
     parse_jsonl,
 )
-from ..diagnosis.multiplet import match_multiplets
-from .pool import ArtifactPool, PoolEntry
 from .session import STRATEGIES, DiagnosisSession
 
 
@@ -49,21 +49,18 @@ from .session import STRATEGIES, DiagnosisSession
 class ServeConfig:
     """Operating envelope of one :class:`DiagnosisServer`.
 
-    ``deadline_ms`` is per request, measured from the moment a worker
-    picks the request up (queueing does not count, so outcomes do not
-    depend on worker count); ``None`` disables deadlines.  Retries apply
-    to transient artifact/cache errors only — a request that cannot load
-    its artifact is attempted ``1 + max_retries`` times with exponential
-    backoff starting at ``retry_backoff_ms``.
+    ``deadline_ms`` is per request, measured from the moment the server
+    picks the request up (queueing behind earlier requests does not
+    count); ``None`` disables deadlines.  Retries apply to transient
+    artifact/cache errors only — a request that cannot load its artifact
+    is attempted ``1 + max_retries`` times with exponential backoff
+    starting at ``retry_backoff_ms``.
     """
 
     pool_size: int = 8
-    workers: int = 4
     deadline_ms: Optional[float] = None
     max_retries: int = 2
     retry_backoff_ms: float = 10.0
-    #: Default ranked-candidate count for requests that don't set one.
-    limit: int = 10
     #: Default multi-fault candidate width for requests that don't set
     #: one; 1 = classic single-fault exact matching.
     max_faults: int = 1
@@ -74,8 +71,6 @@ class ServeConfig:
     strategy: str = "greedy"
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.deadline_ms is not None and self.deadline_ms <= 0:
@@ -153,50 +148,43 @@ class DiagnosisServer:
     # ------------------------------------------------------------------
     # batch entry points
     # ------------------------------------------------------------------
-    def serve_jsonl(self, lines: Iterable[str]) -> List[DiagnosisOutcome]:
+    def serve_jsonl(self, lines: Iterable[str]) -> List[DiagnoseResult]:
         """Process a JSONL request stream (one request object per line)."""
         return self.diagnose_batch(parse_jsonl(lines))
 
     def diagnose_batch(
-        self, requests: Sequence[Union[DiagnosisRequest, DiagnosisOutcome]]
-    ) -> List[DiagnosisOutcome]:
-        """One outcome per request, in request order, degraded never dropped.
+        self, requests: Iterable[Union[DiagnoseRequest, DiagnoseResult]]
+    ) -> List[DiagnoseResult]:
+        """One result per request, in request order, degraded never dropped.
 
-        Accepts pre-made outcomes in the input sequence (as produced by
-        :func:`~repro.serve.outcomes.parse_jsonl` for unparseable lines)
-        and passes them through in position.
+        Serves the requests one after another on the calling thread.
+        Accepts ready-made results in the input sequence (as
+        :func:`~repro.serve.schemas.parse_jsonl` produces for unparseable
+        lines) and passes them through in position.
         """
         registry = get_default_registry()
         requests = list(requests)
         registry.counter(M.BATCHES).inc()
-        registry.gauge(M.WORKERS).set(self.config.workers)
         with registry.timer(M.BATCH_SECONDS).time(), \
                 trace_span("serve.batch", requests=len(requests)):
-            if self.config.workers == 1 or len(requests) <= 1:
-                outcomes = [self._serve_entry(entry) for entry in requests]
-            else:
-                with ThreadPoolExecutor(
-                    max_workers=self.config.workers,
-                    thread_name_prefix="repro-serve",
-                ) as executor:
-                    outcomes = list(executor.map(self._serve_entry, requests))
-        for outcome in outcomes:
-            registry.counter(M.outcome_counter(outcome.code)).inc()
-        return outcomes
+            return [self.diagnose_one(entry) for entry in requests]
 
     def diagnose_one(
-        self, request: Union[DiagnosisRequest, DiagnosisOutcome]
-    ) -> DiagnosisOutcome:
+        self, request: Union[DiagnoseRequest, DiagnoseResult]
+    ) -> DiagnoseResult:
         """Serve a single request outside a batch (the daemon's work unit).
 
         Same degradation and metrics semantics as one entry of
-        :meth:`diagnose_batch`, without the batch bookkeeping — callers
-        that already run their own fan-out (the asyncio daemon's worker
-        executor) use this as the per-request hot path.
+        :meth:`diagnose_batch`, without the batch bookkeeping.
         """
-        outcome = self._serve_entry(request)
-        get_default_registry().counter(M.outcome_counter(outcome.code)).inc()
-        return outcome
+        registry = get_default_registry()
+        registry.counter(M.REQUESTS).inc()
+        if isinstance(request, DiagnoseResult):
+            result = request
+        else:
+            result = self._serve_request(request)
+        registry.counter(M.outcome_counter(result.code)).inc()
+        return result
 
     # ------------------------------------------------------------------
     def session(
@@ -234,55 +222,45 @@ class DiagnosisServer:
             )
         return path
 
-    def _serve_entry(
-        self, entry: Union[DiagnosisRequest, DiagnosisOutcome]
-    ) -> DiagnosisOutcome:
-        if isinstance(entry, DiagnosisOutcome):
-            get_default_registry().counter(M.REQUESTS).inc()
-            return entry
-        return self._serve_request(entry)
-
-    def _serve_request(self, request: DiagnosisRequest) -> DiagnosisOutcome:
-        registry = get_default_registry()
-        registry.counter(M.REQUESTS).inc()
+    def _serve_request(self, request: DiagnoseRequest) -> DiagnoseResult:
         deadline = _Deadline(self._clock, self.config.deadline_ms)
-        with registry.timer(M.REQUEST_SECONDS).time():
+        with get_default_registry().timer(M.REQUEST_SECONDS).time():
             try:
-                outcome = self._serve_inner(request, deadline)
+                result = self._serve_inner(request, deadline)
             except Exception as exc:  # noqa: BLE001 - degradation boundary
-                outcome = DiagnosisOutcome(
+                result = DiagnoseResult(
                     request_id=request.request_id,
                     code=INTERNAL_ERROR,
                     detail=f"{type(exc).__name__}: {exc}",
                 )
-        outcome.elapsed_seconds = deadline.elapsed
-        if outcome.code in (DEADLINE_EXPIRED, ARTIFACT_ERROR):
+        policy = None
+        if result.code in (DEADLINE_EXPIRED, ARTIFACT_ERROR):
             # Deadline/retry degradations carry the settings they
             # degraded under, so the JSONL output alone is auditable.
-            outcome.policy = self.config.policy()
-        return outcome
+            policy = tuple(sorted(self.config.policy().items()))
+        return replace(result, elapsed_seconds=deadline.elapsed, policy=policy)
 
     def _serve_inner(
-        self, request: DiagnosisRequest, deadline: _Deadline
-    ) -> DiagnosisOutcome:
+        self, request: DiagnoseRequest, deadline: _Deadline
+    ) -> DiagnoseResult:
         try:
             path = self._artifact_for(request.artifact)
         except ValueError as exc:
-            return DiagnosisOutcome(
+            return DiagnoseResult(
                 request_id=request.request_id, code=BAD_REQUEST, detail=str(exc)
             )
 
         entry, attempts, failure = self._load_with_retries(path, deadline)
         if entry is None:
             code = DEADLINE_EXPIRED if deadline.expired else ARTIFACT_ERROR
-            return DiagnosisOutcome(
+            return DiagnoseResult(
                 request_id=request.request_id,
                 code=code,
                 detail=failure or "artifact load failed",
                 attempts=attempts,
             )
         if deadline.expired:
-            return DiagnosisOutcome(
+            return DiagnoseResult(
                 request_id=request.request_id,
                 code=DEADLINE_EXPIRED,
                 detail=f"deadline of {self.config.deadline_ms}ms passed "
@@ -293,7 +271,7 @@ class DiagnosisServer:
         if request.observations is not None:
             return self._serve_session_request(request, entry, attempts, deadline)
         if request.observed is None and request.fault is None:
-            return DiagnosisOutcome(
+            return DiagnoseResult(
                 request_id=request.request_id,
                 code=BAD_REQUEST,
                 detail="request carries no observed=, fault= or observations=",
@@ -332,7 +310,7 @@ class DiagnosisServer:
         return None, attempts, failure
 
     # -- the two request flavours --------------------------------------
-    def _resolve_observed(self, request: DiagnosisRequest, entry: PoolEntry):
+    def _resolve_observed(self, request: DiagnoseRequest, entry: PoolEntry):
         """The per-test signature sequence a request asks to diagnose.
 
         Returns ``(observed, problem)`` where ``problem`` is an
@@ -363,7 +341,7 @@ class DiagnosisServer:
                     )
         return list(observed), None
 
-    def _effective(self, request: DiagnosisRequest) -> tuple:
+    def _effective(self, request: DiagnoseRequest) -> tuple:
         """Resolve the request's fleet knobs against the config defaults."""
         max_faults = (
             request.max_faults
@@ -377,15 +355,15 @@ class DiagnosisServer:
 
     def _serve_lookup(
         self,
-        request: DiagnosisRequest,
+        request: DiagnoseRequest,
         entry: PoolEntry,
         attempts: int,
         deadline: _Deadline,
-    ) -> DiagnosisOutcome:
+    ) -> DiagnoseResult:
         registry = get_default_registry()
         observed, problem = self._resolve_observed(request, entry)
         if problem is not None:
-            return DiagnosisOutcome(
+            return DiagnoseResult(
                 request_id=request.request_id,
                 code=UNMODELED_RESPONSE,
                 detail=problem,
@@ -399,10 +377,10 @@ class DiagnosisServer:
                 diagnosis = entry.diagnoser.diagnose(
                     observed, limit=request.limit
                 )
-            exact = [str(fault) for fault in diagnosis.exact]
-            ranked = [
+            exact = tuple(str(fault) for fault in diagnosis.exact)
+            ranked = tuple(
                 (str(fault), score) for fault, score in diagnosis.ranked
-            ]
+            )
         else:
             # Fleet path: envelope-matched multiplets within the flip
             # budget.  Ranked scores stay "tests agreed" so both paths
@@ -417,19 +395,19 @@ class DiagnosisServer:
                     limit=request.limit or None,
                 )
             faults = table.faults
-            exact = [m.render(faults) for m in matches if m.flips == 0]
-            ranked = [
+            exact = tuple(m.render(faults) for m in matches if m.flips == 0)
+            ranked = tuple(
                 (m.render(faults), table.n_tests - m.flips) for m in matches
-            ]
+            )
         if deadline.expired:
-            return DiagnosisOutcome(
+            return DiagnoseResult(
                 request_id=request.request_id,
                 code=DEADLINE_EXPIRED,
                 detail=f"deadline of {self.config.deadline_ms}ms passed "
                 "during diagnosis",
                 attempts=attempts,
             )
-        return DiagnosisOutcome(
+        return DiagnoseResult(
             request_id=request.request_id,
             code=OK,
             exact=exact,
@@ -439,11 +417,11 @@ class DiagnosisServer:
 
     def _serve_session_request(
         self,
-        request: DiagnosisRequest,
+        request: DiagnoseRequest,
         entry: PoolEntry,
         attempts: int,
         deadline: _Deadline,
-    ) -> DiagnosisOutcome:
+    ) -> DiagnoseResult:
         table = entry.table
         _, flip_budget = self._effective(request)
         session = DiagnosisSession(
@@ -451,7 +429,7 @@ class DiagnosisServer:
         )
         for test_index, signature in request.observations:
             if test_index >= table.n_tests:
-                return DiagnosisOutcome(
+                return DiagnoseResult(
                     request_id=request.request_id,
                     code=UNMODELED_RESPONSE,
                     detail=f"observation names test {test_index}, dictionary "
@@ -459,7 +437,7 @@ class DiagnosisServer:
                     attempts=attempts,
                 )
             if any(output >= table.n_outputs for output in signature):
-                return DiagnosisOutcome(
+                return DiagnoseResult(
                     request_id=request.request_id,
                     code=UNMODELED_RESPONSE,
                     detail=f"observation on test {test_index} names an output "
@@ -468,29 +446,29 @@ class DiagnosisServer:
                 )
             session.observe(test_index, signature)
             if deadline.expired:
-                return DiagnosisOutcome(
+                return DiagnoseResult(
                     request_id=request.request_id,
                     code=DEADLINE_EXPIRED,
                     detail=f"deadline of {self.config.deadline_ms}ms passed "
                     f"after {len(session.history)} observations",
                     attempts=attempts,
-                    narrowing=[update.after for update in session.history],
+                    narrowing=tuple(update.after for update in session.history),
                 )
         faults = session.candidate_faults()
         if request.limit:
             faults = faults[: request.limit]
-        candidates = [str(fault) for fault in faults]
+        candidates = tuple(str(fault) for fault in faults)
         # A suggestion is computed only when the request names a
         # strategy, so default requests stay byte-identical on the wire.
         suggested = None
         if request.strategy is not None:
             suggested = session.suggest_next_test(request.strategy)
-        return DiagnosisOutcome(
+        return DiagnoseResult(
             request_id=request.request_id,
             code=OK,
             exact=candidates,
             attempts=attempts,
-            narrowing=[update.after for update in session.history],
+            narrowing=tuple(update.after for update in session.history),
             converged=session.converged,
             suggested_test=suggested,
         )

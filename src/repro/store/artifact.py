@@ -361,6 +361,29 @@ def save_artifact(
 # ----------------------------------------------------------------------
 # load
 # ----------------------------------------------------------------------
+def _check_preamble(head: bytes, name: str) -> Tuple[str, bytes]:
+    """Validate the fixed-size preamble: length, magic and format version.
+
+    Returns ``(content_hash, body_sha256)``; raises
+    :class:`ArtifactFormatError` or :class:`ArtifactVersionError`.
+    """
+    if len(head) < _PREAMBLE.size:
+        raise ArtifactFormatError(
+            f"{name}: {len(head)} bytes is too short for an artifact preamble"
+        )
+    magic, version, hash_raw, body_sha = _PREAMBLE.unpack_from(head)
+    if magic != MAGIC:
+        raise ArtifactFormatError(
+            f"{name}: bad magic {magic!r} (not a dictionary artifact)"
+        )
+    if version != FORMAT_VERSION:
+        raise ArtifactVersionError(
+            f"{name}: format version {version} (this build reads "
+            f"{FORMAT_VERSION}); rebuild the artifact"
+        )
+    return hash_raw.hex(), body_sha
+
+
 def read_content_hash(path: Union[str, Path]) -> str:
     """The content hash from an artifact's preamble, without loading it.
 
@@ -383,21 +406,7 @@ def read_content_hash(path: Union[str, Path]) -> str:
                 head = handle.read(_PREAMBLE.size)
     except OSError as exc:
         raise ArtifactFormatError(f"{path}: cannot read artifact: {exc}") from exc
-    if len(head) < _PREAMBLE.size:
-        raise ArtifactFormatError(
-            f"{path}: {len(head)} bytes is too short for an artifact preamble"
-        )
-    magic, version, hash_raw, _ = _PREAMBLE.unpack_from(head)
-    if magic != MAGIC:
-        raise ArtifactFormatError(
-            f"{path}: bad magic {magic!r} (not a dictionary artifact)"
-        )
-    if version != FORMAT_VERSION:
-        raise ArtifactVersionError(
-            f"{path}: format version {version} (this build reads "
-            f"{FORMAT_VERSION}); rebuild the artifact"
-        )
-    return hash_raw.hex()
+    return _check_preamble(head, str(path))[0]
 
 
 def load_artifact(
@@ -430,21 +439,7 @@ def load_artifact_buffer(
     """
     registry = get_default_registry()
     with registry.timer("store.artifact_load_seconds").time():
-        if len(raw) < _PREAMBLE.size:
-            raise ArtifactFormatError(
-                f"{name}: {len(raw)} bytes is too short for an artifact preamble"
-            )
-        magic, version, hash_raw, body_sha = _PREAMBLE.unpack_from(raw)
-        if magic != MAGIC:
-            raise ArtifactFormatError(
-                f"{name}: bad magic {magic!r} (not a dictionary artifact)"
-            )
-        if version != FORMAT_VERSION:
-            raise ArtifactVersionError(
-                f"{name}: format version {version} (this build reads "
-                f"{FORMAT_VERSION}); rebuild the artifact"
-            )
-        content_hash = hash_raw.hex()
+        content_hash, body_sha = _check_preamble(raw, name)
         if expected_hash is not None and content_hash != expected_hash:
             raise ArtifactHashError(
                 f"{name}: content hash {content_hash[:12]}… does not match the "

@@ -134,14 +134,23 @@ class TestServeFacade:
         from repro.api import serve
         from repro.serve import ServeConfig
 
-        server = serve(config=ServeConfig(workers=2))
-        assert server.config.workers == 2
+        server = serve(config=ServeConfig(deadline_ms=250))
+        assert server.config.deadline_ms == 250
 
     def test_bare_call_uses_the_default_config(self):
         from repro.api import serve
         from repro.serve import ServeConfig
 
         assert serve().config == ServeConfig()
+
+    def test_config_has_only_the_per_request_knobs(self):
+        from repro.serve import ServeConfig
+
+        names = [field.name for field in dataclasses.fields(ServeConfig)]
+        assert names == [
+            "pool_size", "deadline_ms", "max_retries", "retry_backoff_ms",
+            "max_faults", "flip_budget", "strategy",
+        ]
 
     def test_loose_kwargs_are_rejected(self):
         from repro.api import serve
@@ -156,13 +165,21 @@ class TestServeDaemonFacade:
         from repro.serve import ServeConfig
 
         daemon = serve_daemon(
-            "a.rfd", serve_config=ServeConfig(workers=2),
+            "a.rfd", serve_config=ServeConfig(deadline_ms=250),
             port=0, max_inflight=4,
         )
         assert daemon.config.max_inflight == 4
         assert daemon.config.default_artifact == "a.rfd"
-        assert daemon.server.config.workers == 2
+        assert daemon.server.config.deadline_ms == 250
         assert daemon.state == "idle"
+
+    def test_documented_call_sizes_the_worker_pool(self):
+        import repro
+
+        # The call docs/daemon.md shows, verbatim.
+        daemon = repro.serve_daemon("p208.rfd", port=0, workers=4)
+        assert daemon.config.workers == 4
+        assert daemon.config.default_artifact == "p208.rfd"
 
     def test_full_config_excludes_the_field_shape(self):
         from repro.api import serve_daemon

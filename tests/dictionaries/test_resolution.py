@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.dictionaries import (
-    Partition,
+    FaultPartition,
     indistinguished_pairs,
     pairs_within,
     refine,
@@ -43,29 +43,29 @@ class TestRefine:
 
 class TestPartition:
     def test_initial_state(self):
-        partition = Partition(range(5))
+        partition = FaultPartition(range(5))
         assert partition.indistinguished() == 10
         assert partition.distinguished() == 0
         assert len(partition.nontrivial_classes()) == 1
 
     def test_split_returns_newly_distinguished(self):
-        partition = Partition(range(4))
+        partition = FaultPartition(range(4))
         gained = partition.split([0, 1])
         assert gained == 4  # {0,1} x {2,3}
         assert partition.indistinguished() == 2
 
     def test_split_noop_when_whole_class(self):
-        partition = Partition(range(3))
+        partition = FaultPartition(range(3))
         assert partition.split([0, 1, 2]) == 0
         assert partition.indistinguished() == 3
 
     def test_from_groups(self):
-        partition = Partition.from_groups([[0, 1], [2]])
+        partition = FaultPartition.from_groups([[0, 1], [2]])
         assert partition.indistinguished() == 1
         assert partition.class_of[2] != partition.class_of[0]
 
     def test_copy_independent(self):
-        partition = Partition(range(4))
+        partition = FaultPartition(range(4))
         clone = partition.copy()
         clone.split([0])
         assert partition.indistinguished() == 6
@@ -82,7 +82,7 @@ class TestPartition:
 def test_partition_matches_brute_force(splits):
     """Property: split-based accounting equals explicit pair bookkeeping."""
     n = 12
-    partition = Partition(range(n))
+    partition = FaultPartition(range(n))
     rows = {i: [] for i in range(n)}  # explicit per-fault row of split bits
     for chosen in splits:
         partition.split(sorted(chosen))
@@ -103,6 +103,6 @@ def test_partition_matches_brute_force(splits):
 )
 def test_split_gain_sums_to_distinguished(splits):
     """Property: the sum of split() returns equals the distinguished total."""
-    partition = Partition(range(10))
+    partition = FaultPartition(range(10))
     gained = sum(partition.split(sorted(chosen)) for chosen in splits)
     assert gained == partition.distinguished()

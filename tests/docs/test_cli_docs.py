@@ -41,7 +41,7 @@ def test_every_subcommand_is_documented():
 def test_serve_flags_are_documented():
     doc = (REPO_ROOT / "docs" / "cli.md").read_text()
     for flag in ("--deadline-ms", "--pool-size", "--max-retries",
-                 "--workers", "--limit"):
+                 "--workers"):
         assert flag in doc
 
 

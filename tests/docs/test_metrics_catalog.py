@@ -15,7 +15,7 @@ from pathlib import Path
 
 from repro.diagnosis import metrics as diagnosis_metrics
 from repro.serve import metrics
-from repro.serve.outcomes import REASON_CODES
+from repro.serve.schemas import REASON_CODES
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 DOC = (REPO_ROOT / "docs" / "observability.md").read_text()
@@ -67,6 +67,17 @@ def test_every_serve_metric_is_documented():
         assert f"`{name}`" in DOC, (
             f"{name} is missing from the serve-metrics table in "
             f"docs/observability.md"
+        )
+
+
+def test_every_documented_serve_metric_is_declared():
+    rows = re.findall(r"^\| `(serve\.[a-z0-9_.]+)` \|", DOC, re.MULTILINE)
+    assert rows
+    declared = set(declared_names())
+    for name in rows:
+        assert name in declared, (
+            f"docs/observability.md documents {name}, which "
+            f"repro.serve.metrics.catalog() does not declare"
         )
 
 

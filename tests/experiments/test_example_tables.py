@@ -2,9 +2,9 @@
 
 from repro.dictionaries import (
     DictionarySizes,
+    FaultPartition,
     FullDictionary,
     PassFailDictionary,
-    Partition,
 )
 from repro.experiments.example_tables import (
     EXAMPLE_RESPONSES,
@@ -68,13 +68,13 @@ class TestTable3:
 class TestTables4And5:
     def test_table4_distances(self):
         table = example_table()
-        partition = Partition(range(4))
+        partition = FaultPartition(range(4))
         trace = dict(selection_trace(0, partition))
         assert trace == {"00": 3, "10": 3, "01": 4}
 
     def test_table5_distances(self):
         table = example_table()
-        partition = Partition(range(4))
+        partition = FaultPartition(range(4))
         # Apply the t0 selection first (split {f2, f3} from {f0, f1}).
         partition.split([2, 3])
         trace = dict(selection_trace(1, partition))

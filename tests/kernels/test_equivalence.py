@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.api import DictionaryConfig, build
 from repro.faults import Fault
-from repro.partition import Partition
+from repro.partition import FaultPartition
 from repro.kernels.packed import HANDOVER_RATIO
 from repro.obs import scoped_registry
 from repro.sim import PASS, ResponseTable, TestSet
@@ -130,7 +130,7 @@ def test_procedure1_identical_across_the_handover(case, lower):
 def test_candidate_distances_identical(table, data):
     """dist(z) per candidate matches in value, signature and members."""
     # Compare both on the fresh partition and on a refined mid-run one.
-    partition = Partition(range(table.n_faults))
+    partition = FaultPartition(range(table.n_faults))
     refined = NAIVE.procedure1(table, range(table.n_tests), 10).partition
     for p in (partition, refined):
         for j in range(table.n_tests):

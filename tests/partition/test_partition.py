@@ -6,7 +6,6 @@ import pytest
 
 from repro.partition import (
     FaultPartition,
-    Partition,
     indistinguished_after_split,
     indistinguished_pairs,
     pairs_within,
@@ -50,9 +49,6 @@ class TestFaultPartition:
         assert partition.indistinguished() == 6
         assert partition.distinguished() == 0
         assert not partition.all_singletons
-
-    def test_partition_alias(self):
-        assert Partition is FaultPartition
 
     def test_split_returns_exact_delta(self):
         partition = FaultPartition(range(5))

@@ -117,7 +117,7 @@ class TestLifecycle:
     def test_shutdown_drains_inflight_work(self, daemon_factory, artifact_a):
         """A request admitted before stop() gets its full 200 response."""
         loader = GatedLoader()
-        server = gated_server(artifact_a[0], loader, workers=2)
+        server = gated_server(artifact_a[0], loader)
         handle = daemon_factory(
             DaemonConfig(port=0, drain_grace_s=10.0), server=server
         )
@@ -153,7 +153,7 @@ class TestLifecycle:
         """The listener closes on drain; work arriving on an existing
         keep-alive connection is answered ``503 shutting_down``."""
         loader = GatedLoader()
-        server = gated_server(artifact_a[0], loader, workers=2)
+        server = gated_server(artifact_a[0], loader)
         handle = daemon_factory(
             DaemonConfig(port=0, drain_grace_s=10.0), server=server
         )
@@ -304,7 +304,7 @@ class TestAdmission:
         self, daemon_factory, artifact_a
     ):
         loader = GatedLoader()
-        server = gated_server(artifact_a[0], loader, workers=2)
+        server = gated_server(artifact_a[0], loader)
         handle = daemon_factory(
             DaemonConfig(port=0, max_inflight=1), server=server
         )
@@ -339,7 +339,7 @@ class TestAdmission:
         self, daemon_factory, artifact_a, artifact_b
     ):
         loader = GatedLoader(only=artifact_a[0])
-        server = gated_server(artifact_a[0], loader, workers=4)
+        server = gated_server(artifact_a[0], loader)
         handle = daemon_factory(
             DaemonConfig(
                 port=0, max_inflight=8, tenant_quotas=(("acme", 1),),
@@ -379,7 +379,7 @@ class TestAdmission:
         self, daemon_factory, artifact_a
     ):
         loader = GatedLoader()
-        server = gated_server(artifact_a[0], loader, workers=4)
+        server = gated_server(artifact_a[0], loader)
         handle = daemon_factory(
             DaemonConfig(port=0, max_inflight=8, default_tenant_quota=1),
             server=server,
@@ -420,6 +420,40 @@ class TestAdmission:
         assert [r["code"] for r in doc["results"]] == [
             "unmodeled_response", "bad_request",
         ]
+
+    def test_batch_starts_no_thread(
+        self, daemon_factory, artifact_a, monkeypatch
+    ):
+        """A batch is served in order on the worker that took it: once the
+        daemon's executor is up, serving batches starts no thread."""
+        path, built = artifact_a
+        handle = daemon_factory(
+            DaemonConfig(port=0, default_artifact=str(path), workers=2)
+        )
+        # Bring the executor to its full two threads first.
+        barrier = threading.Barrier(3)
+        warm = [handle.daemon._executor.submit(barrier.wait) for _ in "ab"]
+        barrier.wait(5)
+        for future in warm:
+            future.result(5)
+
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        batch = {"requests": [
+            {"id": f"r{i}", "fault": str(built.table.faults[i])}
+            for i in range(8)
+        ]}
+        for _ in range(3):
+            status, doc = call(handle, "POST", "/v1/diagnose/batch", batch)
+            assert status == 200
+            assert [r["code"] for r in doc["results"]] == ["ok"] * 8
+        assert started == []
 
 
 # ----------------------------------------------------------------------

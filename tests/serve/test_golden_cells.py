@@ -16,7 +16,7 @@ from repro.api import DictionaryConfig, build
 from repro.diagnosis.engine import Diagnoser
 from repro.experiments.table6 import response_table_for
 from repro.obs import scoped_registry
-from repro.serve import DiagnosisRequest, DiagnosisServer, ServeConfig
+from repro.serve import DiagnoseRequest, DiagnosisServer, ServeConfig
 from repro.store import save_artifact
 from tests.experiments.test_golden import CALLS, CELLS, SEED
 from tests.util import use_kernel
@@ -62,14 +62,14 @@ def test_capacity_one_pool_serves_golden_cells_bit_for_bit(golden_artifacts):
     for round_index in range(2):
         for cell, (path, built) in golden_artifacts.items():
             for name in sample_fault_names(built):
-                requests.append((cell, name, DiagnosisRequest(
+                requests.append((cell, name, DiagnoseRequest(
                     request_id=f"{cell[0]}/{cell[1]}/{name}/{round_index}",
                     fault=name,
                     artifact=str(path),
                 )))
 
     with scoped_registry() as registry:
-        server = DiagnosisServer(ServeConfig(workers=1, pool_size=1))
+        server = DiagnosisServer(ServeConfig(pool_size=1))
         outcomes = server.diagnose_batch([req for _, _, req in requests])
         evictions = registry.counters["serve.pool_evictions"].value
         misses = registry.counters["serve.pool_misses"].value
@@ -79,8 +79,8 @@ def test_capacity_one_pool_serves_golden_cells_bit_for_bit(golden_artifacts):
     for (cell, name, request), outcome in zip(requests, outcomes):
         assert outcome.code == "ok", (cell, name, outcome.detail)
         exact, ranked = reference[(cell, name)]
-        assert outcome.exact == exact, (cell, name)
-        assert outcome.ranked == ranked, (cell, name)
+        assert outcome.exact == tuple(exact), (cell, name)
+        assert outcome.ranked == tuple(ranked), (cell, name)
         assert name in outcome.exact  # the injected fault names itself
 
 
@@ -106,10 +106,10 @@ def test_naive_backend_builds_and_serves_identical_cells(golden_artifacts, tmp_p
         names = sample_fault_names(reference)
         diagnoser = Diagnoser(reference.dictionary)
         server = DiagnosisServer(
-            ServeConfig(workers=1, pool_size=1), default_artifact=str(path)
+            ServeConfig(pool_size=1), default_artifact=str(path)
         )
         outcomes = server.diagnose_batch(
-            [DiagnosisRequest(request_id=name, fault=name) for name in names]
+            [DiagnoseRequest(request_id=name, fault=name) for name in names]
         )
         for name, outcome in zip(names, outcomes):
             assert outcome.code == "ok", (leg, cell, name, outcome.detail)
@@ -117,10 +117,12 @@ def test_naive_backend_builds_and_serves_identical_cells(golden_artifacts, tmp_p
             want = diagnoser.diagnose(
                 list(reference.table.full_row(index)), limit=10
             )
-            assert outcome.exact == [str(f) for f in want.exact], (leg, name)
-            assert outcome.ranked == [
+            assert outcome.exact == tuple(
+                str(f) for f in want.exact
+            ), (leg, name)
+            assert outcome.ranked == tuple(
                 (str(f), score) for f, score in want.ranked
-            ], (leg, name)
+            ), (leg, name)
 
 
 def test_daemon_serves_golden_cells_over_a_real_socket(golden_artifacts):
@@ -136,7 +138,7 @@ def test_daemon_serves_golden_cells_over_a_real_socket(golden_artifacts):
 
     from repro.serve.daemon import DaemonConfig, start_in_thread
 
-    handle = start_in_thread(DaemonConfig(port=0, serve=ServeConfig(workers=2)))
+    handle = start_in_thread(DaemonConfig(port=0, workers=2))
     try:
         conn = http.client.HTTPConnection(handle.host, handle.port, timeout=30)
         for cell, (path, built) in golden_artifacts.items():
@@ -172,11 +174,11 @@ def test_reloads_are_stable_across_runs(golden_artifacts):
     for _ in range(2):
         with scoped_registry():
             server = DiagnosisServer(
-                ServeConfig(workers=2, pool_size=1),
+                ServeConfig(pool_size=1),
                 default_artifact=str(path),
             )
             outcomes = server.diagnose_batch([
-                DiagnosisRequest(request_id=name, fault=name)
+                DiagnoseRequest(request_id=name, fault=name)
                 for name in names
             ])
         batches.append([

@@ -6,17 +6,16 @@ import json
 
 import pytest
 
-from repro.serve import outcomes
-from repro.serve.outcomes import DiagnosisOutcome
 from repro.serve.schemas import (
     BAD_REQUEST,
     OK,
-    REASON_CODES,
     SCHEMA_VERSION,
     DiagnoseRequest,
     DiagnoseResult,
     SchemaError,
     SessionAdvance,
+    parse_document,
+    parse_jsonl,
 )
 
 
@@ -121,8 +120,6 @@ class TestSchemaVersioning:
 
     def test_result_and_session_check_the_version_too(self):
         with pytest.raises(SchemaError, match="schema"):
-            DiagnoseResult.from_dict({"schema": 7, "id": "a", "code": "ok"})
-        with pytest.raises(SchemaError, match="schema"):
             SessionAdvance.from_dict({"schema": 7, "session": "s"})
 
 
@@ -168,76 +165,73 @@ class TestStrictValidation:
 
 class TestDiagnoseResult:
     def test_freezes_an_outcome_and_round_trips(self):
-        outcome = DiagnosisOutcome(
+        result = DiagnoseResult(
             request_id="r", code=OK,
-            exact=["a"], ranked=[("a", 9), ("b", 7)],
+            exact=("a",), ranked=(("a", 9), ("b", 7)),
             attempts=2, elapsed_seconds=0.25,
-            narrowing=[5, 3, 1], converged=True,
+            narrowing=(5, 3, 1), converged=True,
         )
-        result = DiagnoseResult.from_outcome(outcome)
         doc = result.as_dict()
         assert doc["schema"] == SCHEMA_VERSION
-        again = DiagnoseResult.from_dict(json.loads(json.dumps(doc)))
-        assert again == result
-        assert again.ok
+        assert json.loads(json.dumps(doc)) == {
+            "schema": SCHEMA_VERSION, "id": "r", "code": OK,
+            "exact": ["a"], "ranked": [["a", 9], ["b", 7]],
+            "attempts": 2, "elapsed_seconds": 0.25,
+            "narrowing": [5, 3, 1], "converged": True,
+        }
+        assert result.ok
+        with pytest.raises(AttributeError):
+            result.code = "internal_error"
 
     def test_policy_block_survives_the_wire(self):
-        outcome = DiagnosisOutcome(
+        result = DiagnoseResult(
             request_id="r", code="deadline_expired",
             detail="too slow",
-            policy={"deadline_ms": 5.0, "max_retries": 2,
-                    "retry_backoff_ms": 10.0},
+            policy=(("deadline_ms", 5.0), ("max_retries", 2),
+                    ("retry_backoff_ms", 10.0)),
         )
-        doc = DiagnoseResult.from_outcome(outcome).as_dict()
+        doc = result.as_dict()
         assert doc["policy"] == {
             "deadline_ms": 5.0, "max_retries": 2, "retry_backoff_ms": 10.0,
         }
-        again = DiagnoseResult.from_dict(doc)
-        assert dict(again.policy) == doc["policy"]
 
     def test_outcome_as_dict_is_the_wire_shape_minus_schema(self):
-        outcome = DiagnosisOutcome(request_id="r", code=OK, exact=["a"])
-        doc = outcome.as_dict()
+        result = DiagnoseResult(request_id="r", code=OK, exact=("a",))
+        doc = json.loads(result.to_json_line())
         assert "schema" not in doc
-        wire = DiagnoseResult.from_outcome(outcome).as_dict()
+        wire = result.as_dict()
         wire.pop("schema")
         assert doc == wire
 
-    def test_unknown_code_is_rejected(self):
-        with pytest.raises(SchemaError, match="reason code"):
-            DiagnoseResult.from_dict({"id": "a", "code": "nope"})
-
 
 class TestBackCompatAliases:
-    def test_old_names_are_the_new_types(self):
-        assert outcomes.DiagnosisRequest is DiagnoseRequest
-        assert outcomes.BadRequest is SchemaError
-        from repro.serve import BadRequest, DiagnosisRequest
-        assert DiagnosisRequest is DiagnoseRequest
-        assert BadRequest is SchemaError
-
-    def test_reason_codes_re_export(self):
-        assert outcomes.REASON_CODES == REASON_CODES
-        assert outcomes.OK is OK
+    """The batch decoders: one request or ``bad_request`` result each."""
 
     def test_parse_jsonl_still_degrades_bad_lines(self):
         lines = [
             json.dumps({"id": "good", "fault": "f"}),
+            "",
             "{broken json",
             json.dumps({"id": "bad", "fault": "f", "schema": 9}),
         ]
-        parsed = outcomes.parse_jsonl(lines)
+        parsed = parse_jsonl(lines)
         assert isinstance(parsed[0], DiagnoseRequest)
-        assert isinstance(parsed[1], DiagnosisOutcome)
+        assert isinstance(parsed[1], DiagnoseResult)
         assert parsed[1].code == BAD_REQUEST
+        assert parsed[1].request_id == "request-3"
+        assert parsed[1].detail.startswith("line 3: invalid JSON")
         assert parsed[2].request_id == "bad"
+        assert parsed[2].detail.startswith("line 4: ")
         assert "schema" in parsed[2].detail
 
     def test_parse_batch_docs_mirrors_parse_jsonl(self):
-        parsed = outcomes.parse_batch_docs([
-            {"id": "good", "fault": "f"},
-            {"nonsense": True},
-        ])
+        parsed = [
+            parse_document(doc, number=number)
+            for number, doc in enumerate(
+                [{"id": "good", "fault": "f"}, {"nonsense": True}], start=1
+            )
+        ]
         assert isinstance(parsed[0], DiagnoseRequest)
         assert parsed[1].code == BAD_REQUEST
-        assert "request 2" in parsed[1].detail
+        assert parsed[1].request_id == "request-2"
+        assert parsed[1].detail.startswith("request 2: ")

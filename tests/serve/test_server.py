@@ -7,11 +7,12 @@ import pytest
 from repro.obs import scoped_registry
 from repro.serve import (
     ArtifactPool,
-    DiagnosisOutcome,
-    DiagnosisRequest,
+    DiagnoseRequest,
+    DiagnoseResult,
     DiagnosisServer,
     ServeConfig,
 )
+from repro.serve.daemon import DaemonConfig
 from repro.store import ArtifactFormatError, load_artifact
 
 
@@ -41,7 +42,7 @@ class FakeSleep:
 def make_server(artifact_path, *, loader=None, clock=None, sleep=None, **cfg):
     clock = clock if clock is not None else FakeClock()
     sleep = sleep if sleep is not None else FakeSleep(clock)
-    config = ServeConfig(workers=1, **cfg)
+    config = ServeConfig(**cfg)
     pool = ArtifactPool(config.pool_size, loader=loader)
     server = DiagnosisServer(
         config,
@@ -56,7 +57,7 @@ def make_server(artifact_path, *, loader=None, clock=None, sleep=None, **cfg):
 class TestConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError, match="workers"):
-            ServeConfig(workers=0)
+            DaemonConfig(workers=0)
         with pytest.raises(ValueError, match="max_retries"):
             ServeConfig(max_retries=-1)
         with pytest.raises(ValueError, match="deadline_ms"):
@@ -69,7 +70,7 @@ class TestLookups:
         server, _, _ = make_server(path)
         with scoped_registry():
             [outcome] = server.diagnose_batch(
-                [DiagnosisRequest(request_id="r1", fault="f0/sa0")]
+                [DiagnoseRequest(request_id="r1", fault="f0/sa0")]
             )
         assert outcome.code == "ok"
         assert "f0/sa0" in outcome.exact
@@ -81,7 +82,7 @@ class TestLookups:
         server, _, _ = make_server(path)
         with scoped_registry():
             [outcome] = server.diagnose_batch(
-                [DiagnosisRequest(request_id="r1", observed=observed)]
+                [DiagnoseRequest(request_id="r1", observed=observed)]
             )
         assert outcome.code == "ok"
         assert "f3/sa0" in outcome.exact
@@ -91,7 +92,7 @@ class TestLookups:
         server, _, _ = make_server(path)
         with scoped_registry():
             [outcome] = server.diagnose_batch(
-                [DiagnosisRequest(request_id="r1", fault="nope/sa1")]
+                [DiagnoseRequest(request_id="r1", fault="nope/sa1")]
             )
         assert outcome.code == "unmodeled_response"
         assert "catalogue" in outcome.detail
@@ -101,7 +102,7 @@ class TestLookups:
         server, _, _ = make_server(path)
         with scoped_registry():
             [outcome] = server.diagnose_batch(
-                [DiagnosisRequest(request_id="r1", observed=((0,),))]
+                [DiagnoseRequest(request_id="r1", observed=((0,),))]
             )
         assert outcome.code == "unmodeled_response"
         assert "tests" in outcome.detail
@@ -113,7 +114,7 @@ class TestLookups:
         server, _, _ = make_server(path)
         with scoped_registry():
             [outcome] = server.diagnose_batch(
-                [DiagnosisRequest(request_id="r1", observed=tuple(observed))]
+                [DiagnoseRequest(request_id="r1", observed=tuple(observed))]
             )
         assert outcome.code == "unmodeled_response"
         assert "output" in outcome.detail
@@ -125,10 +126,10 @@ class TestLookups:
         server, _, _ = make_server(path)
         with scoped_registry():
             [strict] = server.diagnose_batch([
-                DiagnosisRequest(request_id="r1", observed=tuple(observed))
+                DiagnoseRequest(request_id="r1", observed=tuple(observed))
             ])
             [tolerant] = server.diagnose_batch([
-                DiagnosisRequest(
+                DiagnoseRequest(
                     request_id="r2", observed=tuple(observed), flip_budget=1
                 )
             ])
@@ -145,12 +146,12 @@ class TestLookups:
         server, _, _ = make_server(path)
         with scoped_registry():
             [outcome] = server.diagnose_batch([
-                DiagnosisRequest(
+                DiagnoseRequest(
                     request_id="r1", observed=tuple(observed), max_faults=2
                 )
             ])
         assert outcome.code == "ok"
-        names = outcome.exact + [name for name, _ in outcome.ranked]
+        names = [*outcome.exact, *(name for name, _ in outcome.ranked)]
         assert any("+" in name for name in names)
 
     def test_config_level_defaults_apply_when_request_is_silent(
@@ -162,7 +163,7 @@ class TestLookups:
         server, _, _ = make_server(path, flip_budget=1)
         with scoped_registry():
             [outcome] = server.diagnose_batch([
-                DiagnosisRequest(request_id="r1", observed=tuple(observed))
+                DiagnoseRequest(request_id="r1", observed=tuple(observed))
             ])
         assert outcome.code == "ok"
         assert "f3/sa0" in [name for name, _ in outcome.ranked]
@@ -180,15 +181,15 @@ class TestLookups:
         server, _, _ = make_server(path)
         with scoped_registry():
             [outcome] = server.diagnose_batch(
-                [DiagnosisRequest(request_id="r1")]
+                [DiagnoseRequest(request_id="r1")]
             )
         assert outcome.code == "bad_request"
 
     def test_no_artifact_anywhere_is_bad_request(self):
-        server = DiagnosisServer(ServeConfig(workers=1))
+        server = DiagnosisServer(ServeConfig())
         with scoped_registry():
             [outcome] = server.diagnose_batch(
-                [DiagnosisRequest(request_id="r1", fault="f0/sa0")]
+                [DiagnoseRequest(request_id="r1", fault="f0/sa0")]
             )
         assert outcome.code == "bad_request"
         assert "default" in outcome.detail
@@ -196,13 +197,13 @@ class TestLookups:
     def test_premade_outcomes_pass_through_in_position(self, artifact_a):
         path, _ = artifact_a
         server, _, _ = make_server(path)
-        early = DiagnosisOutcome(request_id="corrupt", code="bad_request")
+        early = DiagnoseResult(request_id="corrupt", code="bad_request")
         with scoped_registry() as registry:
             outcomes = server.diagnose_batch(
                 [
-                    DiagnosisRequest(request_id="r1", fault="f0/sa0"),
+                    DiagnoseRequest(request_id="r1", fault="f0/sa0"),
                     early,
-                    DiagnosisRequest(request_id="r3", fault="f1/sa0"),
+                    DiagnoseRequest(request_id="r3", fault="f1/sa0"),
                 ]
             )
             assert [o.request_id for o in outcomes] == ["r1", "corrupt", "r3"]
@@ -230,7 +231,7 @@ class TestRetries:
         )
         with scoped_registry() as registry:
             [outcome] = server.diagnose_batch(
-                [DiagnosisRequest(request_id="r1", fault="f0/sa0")]
+                [DiagnoseRequest(request_id="r1", fault="f0/sa0")]
             )
             assert outcome.code == "ok"
             assert outcome.attempts == 3
@@ -248,7 +249,7 @@ class TestRetries:
         )
         with scoped_registry():
             [outcome] = server.diagnose_batch(
-                [DiagnosisRequest(request_id="r1", fault="f0/sa0")]
+                [DiagnoseRequest(request_id="r1", fault="f0/sa0")]
             )
         assert outcome.code == "artifact_error"
         assert outcome.attempts == 3
@@ -264,7 +265,7 @@ class TestRetries:
         server, _, sleep = make_server(path, loader=broken_loader, max_retries=0)
         with scoped_registry():
             [outcome] = server.diagnose_batch(
-                [DiagnosisRequest(request_id="r1", fault="f0/sa0")]
+                [DiagnoseRequest(request_id="r1", fault="f0/sa0")]
             )
         assert outcome.code == "artifact_error"
         assert outcome.attempts == 1
@@ -279,7 +280,7 @@ class TestRetries:
         server, _, sleep = make_server(path, loader=exploding_loader)
         with scoped_registry() as registry:
             [outcome] = server.diagnose_batch(
-                [DiagnosisRequest(request_id="r1", fault="f0/sa0")]
+                [DiagnoseRequest(request_id="r1", fault="f0/sa0")]
             )
             assert registry.counters["serve.outcomes.internal_error"].value == 1
         assert outcome.code == "internal_error"
@@ -301,7 +302,7 @@ class TestDeadlines:
         )
         with scoped_registry():
             [outcome] = server.diagnose_batch(
-                [DiagnosisRequest(request_id="r1", fault="f0/sa0")]
+                [DiagnoseRequest(request_id="r1", fault="f0/sa0")]
             )
         assert outcome.code == "deadline_expired"
         assert outcome.elapsed_seconds == pytest.approx(0.2)
@@ -325,7 +326,7 @@ class TestDeadlines:
         )
         with scoped_registry():
             [outcome] = server.diagnose_batch(
-                [DiagnosisRequest(request_id="r1", fault="f0/sa0")]
+                [DiagnoseRequest(request_id="r1", fault="f0/sa0")]
             )
         assert outcome.code == "deadline_expired"
         # One clipped backoff, then the budget is gone: no 1s sleep ever ran.
@@ -343,7 +344,7 @@ class TestDeadlines:
         server, _, _ = make_server(path, loader=slow_loader, clock=clock)
         with scoped_registry():
             [outcome] = server.diagnose_batch(
-                [DiagnosisRequest(request_id="r1", fault="f0/sa0")]
+                [DiagnoseRequest(request_id="r1", fault="f0/sa0")]
             )
         assert outcome.code == "ok"
 
@@ -370,7 +371,7 @@ class TestDeadlines:
         with scoped_registry():
             server.pool.get(path)  # warm: the load is not the slow part
             [outcome] = server.diagnose_batch(
-                [DiagnosisRequest(request_id="r1", observations=observations)]
+                [DiagnoseRequest(request_id="r1", observations=observations)]
             )
         assert outcome.code == "deadline_expired"
         assert outcome.narrowing is not None
@@ -391,14 +392,14 @@ class TestSessionRequests:
         assert len(names) > 1
         with scoped_registry():
             outcomes = server.diagnose_batch([
-                DiagnosisRequest(
+                DiagnoseRequest(
                     request_id=f"r{limit}", observations=observations, limit=limit
                 )
                 for limit in (1, 0)
             ])
         assert [o.code for o in outcomes] == ["ok", "ok"]
-        assert outcomes[0].exact == names[:1]
-        assert outcomes[1].exact == names
+        assert outcomes[0].exact == tuple(names[:1])
+        assert outcomes[1].exact == tuple(names)
 
 
 class TestJsonl:
@@ -448,10 +449,10 @@ class TestPolicyAudit:
         )
         with scoped_registry():
             [outcome] = server.diagnose_batch(
-                [DiagnosisRequest(request_id="r1", fault="f0/sa0")]
+                [DiagnoseRequest(request_id="r1", fault="f0/sa0")]
             )
         assert outcome.code == "deadline_expired"
-        assert outcome.policy == {
+        assert dict(outcome.policy) == {
             "deadline_ms": 50.0, "max_retries": 1, "retry_backoff_ms": 7.0,
         }
         # And it reaches the JSONL line itself.
@@ -470,10 +471,10 @@ class TestPolicyAudit:
         )
         with scoped_registry():
             [outcome] = server.diagnose_batch(
-                [DiagnosisRequest(request_id="r1", fault="f0/sa0")]
+                [DiagnoseRequest(request_id="r1", fault="f0/sa0")]
             )
         assert outcome.code == "artifact_error"
-        assert outcome.policy == {
+        assert dict(outcome.policy) == {
             "deadline_ms": None, "max_retries": 2, "retry_backoff_ms": 5.0,
         }
 
@@ -482,10 +483,10 @@ class TestPolicyAudit:
         server, _, _ = make_server(path)
         with scoped_registry():
             outcomes = server.diagnose_batch([
-                DiagnosisRequest(
+                DiagnoseRequest(
                     request_id="ok", fault=str(built.table.faults[0])
                 ),
-                DiagnosisRequest(request_id="nope", fault="not-a-fault"),
+                DiagnoseRequest(request_id="nope", fault="not-a-fault"),
             ])
         assert [o.code for o in outcomes] == ["ok", "unmodeled_response"]
         for outcome in outcomes:
@@ -499,7 +500,7 @@ class TestDiagnoseOne:
     def test_counts_outcome_and_matches_batch(self, artifact_a):
         path, built = artifact_a
         server, _, _ = make_server(path)
-        request = DiagnosisRequest(
+        request = DiagnoseRequest(
             request_id="solo", fault=str(built.table.faults[1])
         )
         with scoped_registry() as registry:
@@ -514,6 +515,6 @@ class TestDiagnoseOne:
     def test_premade_outcome_passes_through(self, artifact_a):
         path, _ = artifact_a
         server, _, _ = make_server(path)
-        premade = DiagnosisOutcome(request_id="x", code="bad_request")
+        premade = DiagnoseResult(request_id="x", code="bad_request")
         with scoped_registry():
             assert server.diagnose_one(premade) is premade

@@ -29,7 +29,7 @@ from repro.dictionaries.samediff import SameDifferentDictionary
 from repro.faults import Fault
 from repro.obs import scoped_registry
 from repro.serve import (
-    DiagnosisRequest,
+    DiagnoseRequest,
     DiagnosisServer,
     DiagnosisSession,
     ServeConfig,
@@ -345,14 +345,14 @@ def test_serving_a_loaded_artifact_reuses_masks_and_skips_det_words(artifact_a):
     dictionary — each JSONL ``observations`` request opens a fresh one —
     reads the masks the first one derived."""
     path, built = artifact_a
-    server = DiagnosisServer(ServeConfig(workers=1), default_artifact=str(path))
+    server = DiagnosisServer(ServeConfig(), default_artifact=str(path))
     row = built.table.full_row(2)
     observations = tuple((j, row[j]) for j in (0, 3, 5))
     with scoped_registry():
         [lookup, first, second] = server.diagnose_batch([
-            DiagnosisRequest(request_id="lookup", fault="f2/sa0"),
-            DiagnosisRequest(request_id="s1", observations=observations),
-            DiagnosisRequest(request_id="s2", observations=observations[:1]),
+            DiagnoseRequest(request_id="lookup", fault="f2/sa0"),
+            DiagnoseRequest(request_id="s1", observations=observations),
+            DiagnoseRequest(request_id="s2", observations=observations[:1]),
         ])
         dictionary = server.pool.get(str(path)).built.dictionary
         masks = dictionary.value_masks()

@@ -84,6 +84,19 @@ class TestCommands:
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["serve", "batch.jsonl", "--workers=2"],
+         ["serve", "batch.jsonl", "--limit=3"],
+         ["daemon", "--limit=3"]],
+        ids=["serve-workers", "serve-limit", "daemon-limit"],
+    )
+    def test_retired_serve_flags_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestArtifactFlow:
     def test_pack_then_diagnose_from_artifact(self, capsys, tmp_path):

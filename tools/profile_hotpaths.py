@@ -19,7 +19,6 @@ guess.  This harness runs one representative workload per area —
                   faults in quick mode): the table ``build-b14p`` uses,
                   where the store is a third of a pass,
 * ``serve``     — a warm-pool request batch through ``DiagnosisServer``
-                  (``workers=1`` keeps the work on the profiled thread)
 
 — under ``cProfile``, extracts the top-N functions by cumulative time
 (first-party frames under ``src/repro`` first), prints them, and writes
@@ -148,7 +147,7 @@ def prepare_artifact(workdir: Path):
 
 def prepare_serve(workdir: Path):
     from repro.api import DictionaryConfig, build
-    from repro.serve import DiagnosisRequest, DiagnosisServer, ServeConfig
+    from repro.serve import DiagnoseRequest, DiagnosisServer, ServeConfig
     from repro.store import save_artifact
 
     built = build(_table(), config=DictionaryConfig(seed=0, calls1=5))
@@ -156,11 +155,10 @@ def prepare_serve(workdir: Path):
     save_artifact(built, path)
     faults = built.table.faults
     requests = [
-        DiagnosisRequest(request_id=f"r{i}", fault=str(faults[(i * 13) % len(faults)]))
+        DiagnoseRequest(request_id=f"r{i}", fault=str(faults[(i * 13) % len(faults)]))
         for i in range(REQUESTS)
     ]
-    # workers=1 serves on the calling thread — the one cProfile sees.
-    server = DiagnosisServer(ServeConfig(workers=1, pool_size=2),
+    server = DiagnosisServer(ServeConfig(pool_size=2),
                              default_artifact=str(path))
     server.pool.get(path)
     return lambda: server.diagnose_batch(requests)
