@@ -9,7 +9,6 @@ import pytest
 
 from repro.dictionaries import select_baselines
 from repro.experiments.table6 import response_table_for
-from repro.kernels import PackedBackend
 
 LOWERS = (1, 5, 10, 10**9)
 
@@ -17,9 +16,6 @@ LOWERS = (1, 5, 10, 10**9)
 @pytest.mark.parametrize("lower", LOWERS)
 def test_lower_cutoff(bench, lower):
     _, table = response_table_for("p208", "diag", seed=0)
-    # Pack the table before the timed call, as the dictionary build does
-    # outside its timers: the case times one Procedure 1 call.
-    PackedBackend().prepare(table)
     label = lower if lower < 10**9 else "inf"
     case = bench.case(f"lower_cutoff[{label}]", LOWER=label)
 

@@ -6,10 +6,10 @@ sweep, naive vs packed, proving along the way that both backends return
 bit-identical :class:`Procedure1Run` results.  Scoring time is taken
 from the ``timings`` hook both backends expose: each accumulates the
 wall-clock of its dist(z) computation under ``timings["scoring"]``, so
-the comparison excludes the (shared) selection/cutoff bookkeeping and
-the packed backend's one-off interning cost, which is reported
-separately via the ``kernel.pack_seconds`` / ``kernel.tables_packed``
-metrics.  On these many-test cells packed scores most tests in its
+the comparison excludes the (shared) selection/cutoff bookkeeping.
+The table's one-off interning, paid when the fixture builds it, is
+reported separately via the ``kernel.pack_seconds`` /
+``kernel.tables_packed`` metrics.  On these many-test cells packed scores most tests in its
 class-major phase, so this half keeps that phase gated.
 
 Rounds are interleaved (naive, packed, naive, packed, …) and the
@@ -52,7 +52,6 @@ from benchmarks.util import full_sweep, pick, quick_mode
 from repro.circuit.generate import proxy_response_table
 from repro.experiments.table6 import DEFAULT_CIRCUITS, response_table_for
 from repro.kernels import PackedBackend
-from repro.kernels.interning import intern_response_table
 from repro.kernels.naive import NaiveBackend
 from repro.obs import scoped_registry
 
@@ -90,8 +89,12 @@ def _bench_circuits():
 
 @pytest.fixture(scope="module", params=_bench_circuits())
 def tenDetect_table(request):
-    _, table = response_table_for(request.param, "10det", 0)
-    return request.param, table
+    # A table is interned as it is built: the scoped registry catches the
+    # kernel.pack_* metrics of the build.
+    with scoped_registry() as registry:
+        _, table = response_table_for(request.param, "10det", 0)
+        snapshot = registry.snapshot()
+    return request.param, table, snapshot
 
 
 def _run_tuple(run):
@@ -106,16 +109,10 @@ def _scoring_seconds(backend, table):
 
 
 def test_kernel_scoring_speedup(bench, tenDetect_table):
-    circuit, table = tenDetect_table
+    circuit, table, snapshot = tenDetect_table
     naive = NaiveBackend()
     packed = PackedBackend()
 
-    # Pay (and measure) the packed backend's interning overhead outside
-    # the timed rounds; it is a per-table one-off, not a scoring cost.
-    with scoped_registry() as registry:
-        intern_response_table(table)
-        table.interned  # materialise the cache used by the timed runs
-        snapshot = registry.snapshot()
     pack_seconds = snapshot["timers"]["kernel.pack_seconds"]["total"]
     tables_packed = snapshot["counters"]["kernel.tables_packed"]
 
@@ -203,11 +200,9 @@ def test_procedure1_speedup_vs_naive(bench, synthetic_table):
     naive = NaiveBackend()
     packed = PackedBackend()
 
-    # Both backends' one-off preparation happens outside the timed
-    # rounds: packed's interning, and the per-test signature groups the
-    # naive path caches on the table during its first call.
+    # The per-test signature groups the naive path caches on the table
+    # during its first call are a one-off, paid before the timed rounds.
     order = range(table.n_tests)
-    packed.prepare(table)
     naive.procedure1(table, order, LOWER)
 
     naive_case = bench.case(f"naive[{name}]", workload=name, backend="naive")
@@ -262,9 +257,8 @@ def test_procedure2_speedup_vs_naive(bench, proxy_table):
     naive = NaiveBackend()
     packed = PackedBackend()
 
-    # Packing and the naive path's cached signature groups are one-offs,
-    # paid before the timed rounds, as in the Procedure 1 half.
-    packed.prepare(table)
+    # The naive path's cached signature groups are a one-off, paid
+    # before the timed rounds, as in the Procedure 1 half.
     baselines = packed.procedure1(table, range(table.n_tests), LOWER).baselines
     naive.replace(table, baselines, 10)
 

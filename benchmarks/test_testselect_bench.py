@@ -18,15 +18,11 @@ from repro.dictionaries import (
     select_tests_preserving_resolution,
 )
 from repro.experiments.table6 import response_table_for
-from repro.kernels import PackedBackend
 
 
 @pytest.fixture(scope="module")
 def table():
     _, table = response_table_for("p208", "10det", seed=0)
-    # Pack the table before the cases time the selections, as the
-    # dictionary build does outside its timers.
-    PackedBackend().prepare(table)
     return table
 
 

@@ -295,14 +295,13 @@ def _replay_partition(
     return partition
 
 
-def _select_into_partition(
+def _select_naive(
     table: ResponseTable,
     order: Sequence[int],
     lower: int,
-    partition: FaultPartition,
     timings: Optional[Dict[str, float]] = None,
 ) -> Procedure1Run:
-    """The reference Procedure 1 loop, refining ``partition`` in place.
+    """The reference Procedure 1 loop (the naive kernel's).
 
     Each test is scored by one class-major :func:`_refine_scores` pass;
     the winner's split is then applied as a refinement delta
@@ -311,6 +310,7 @@ def _select_into_partition(
     wins, ``LOWER`` consecutive non-improvements cut off — are the
     paper's, byte-identical to the pre-refactor per-candidate walk.
     """
+    partition = FaultPartition(range(table.n_faults))
     baselines: List[Signature] = [PASS] * table.n_tests
     distinguished = 0
     evaluated = 0
@@ -347,9 +347,7 @@ def _select_into_partition(
         if best_dist > 0:
             winners.append((j, best_index))
             distinguished += partition.split(_candidate_members(table, j, best_index))
-    return Procedure1Run(
-        baselines, distinguished, evaluated, cutoffs, winners, partition
-    )
+    return Procedure1Run(baselines, distinguished, evaluated, cutoffs, winners)
 
 
 def _flush_procedure1(run: Procedure1Run) -> None:
@@ -364,30 +362,22 @@ def _flush_procedure1(run: Procedure1Run) -> None:
 def select_baselines(
     table: ResponseTable,
     order: Optional[Sequence[int]] = None,
-    partition: Optional[FaultPartition] = None,
     *,
     lower: int = 10,
 ) -> Tuple[List[Signature], FaultPartition, int]:
     """Procedure 1: greedy baseline selection over one test order.
 
     Returns the baselines (indexed by *test*, not by order position), the
-    final partition of fault indices, and the distinguished-pair count.
-    ``lower`` is the paper's ``LOWER`` constant: candidate evaluation for
-    a test stops after that many consecutive candidates fail to beat the
-    best ``dist`` seen so far.
+    final partition of fault indices (the kernel's winners replayed), and
+    the distinguished-pair count.  ``lower`` is the paper's ``LOWER``
+    constant: candidate evaluation for a test stops after that many
+    consecutive candidates fail to beat the best ``dist`` seen so far.
     """
     if order is None:
         order = range(table.n_tests)
-    if partition is not None:
-        # A caller-seeded partition must be refined in place; only the
-        # reference loop has those semantics.
-        run = _select_into_partition(table, order, lower, partition)
-    else:
-        run = kernels.KERNEL.procedure1(table, order, lower)
-        if run.partition is None:
-            run.partition = _replay_partition(table, run.winners)
+    run = kernels.KERNEL.procedure1(table, order, lower)
     _flush_procedure1(run)
-    return run.baselines, run.partition, run.distinguished
+    return run.baselines, _replay_partition(table, run.winners), run.distinguished
 
 
 def _build_impl(
@@ -440,10 +430,6 @@ def _build_impl(
     if table.n_tests == 0 or table.n_faults < 2:
         # No test to pick a baseline for, or no pair to distinguish.
         return SameDifferentDictionary(table, [PASS] * table.n_tests), report
-
-    # Materialise the kernel's cached view (interned columns and their
-    # detected entries) now, outside the per-phase timers.
-    kernel.prepare(table)
 
     # The fold's floor is the all-PASS assignment: the pass/fail rows.
     ceiling = total_pairs(table.n_faults) - kernel.full_indistinguished(table)
@@ -517,27 +503,18 @@ def _partition_under(
     """The fault partition (distinct same/different rows) under ``baselines``.
 
     One binary refinement per test — same as the baseline vs different —
-    with an early exit once every class is a singleton.  Uses the interned
-    columns when the table carries them (baseline -> id lookup, so each
-    refinement walks int columns); falls back to signature comparison.
-    This is the class-based pair state the ``RFDC`` checkpoint layer
-    snapshots.
+    over its interned column, with an early exit once every class is a
+    singleton.  This is the class-based pair state the ``RFDC``
+    checkpoint layer snapshots.
     """
-    n = table.n_faults
-    partition = FaultPartition(range(n))
-    interned = table._interned
+    partition = FaultPartition(range(table.n_faults))
+    interned = table.interned
     for j, baseline in enumerate(baselines):
         if partition.all_singletons:
             break
-        b = tuple(baseline)
-        if interned is not None:
-            bid = interned.sig_ids[j].get(b)
-            if bid is None:
-                # Baseline outside Z_j: every fault differs, no split.
-                continue
+        bid = interned.sig_ids[j].get(tuple(baseline))
+        if bid is not None:  # a baseline outside Z_j splits nothing
             partition.refine(interned.cols[j], value=bid)
-        else:
-            partition.split([i for i in range(n) if table.signature(i, j) == b])
     return partition
 
 

@@ -22,8 +22,6 @@ class Procedure1Run:
     fault-free response) — enough to replay the splits into a
     :class:`~repro.partition.FaultPartition` when a caller needs
     the final partition, without paying for it on the restart hot path.
-    ``partition`` is pre-materialised by kernels that build one anyway
-    (the naive path); ``None`` otherwise.
     """
 
     baselines: List[Signature]
@@ -31,7 +29,6 @@ class Procedure1Run:
     evaluated: int
     cutoffs: int
     winners: List[Tuple[int, int]] = field(default_factory=list)
-    partition: Optional[object] = None
 
 
 class KernelBackend(Protocol):
@@ -42,15 +39,6 @@ class KernelBackend(Protocol):
     """
 
     name: str
-
-    def prepare(self, table: ResponseTable) -> None:
-        """Materialise whatever cached view these kernels score from.
-
-        Called once per table by the build driver, outside the per-phase
-        timers, so one-off packing never lands in a scoring timer.  Must
-        be idempotent; the naive kernels' is a no-op.
-        """
-        ...
 
     def procedure1(
         self,

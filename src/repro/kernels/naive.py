@@ -26,9 +26,6 @@ class NaiveBackend:
 
     name = "naive"
 
-    def prepare(self, table: ResponseTable) -> None:
-        """No cached view to build: the reference paths read the table raw."""
-
     def procedure1(
         self,
         table: ResponseTable,
@@ -36,12 +33,9 @@ class NaiveBackend:
         lower: int,
         timings: Optional[Dict[str, float]] = None,
     ) -> Procedure1Run:
-        from ..dictionaries.samediff import _select_into_partition
-        from ..partition import FaultPartition
+        from ..dictionaries.samediff import _select_naive
 
-        return _select_into_partition(
-            table, order, lower, FaultPartition(range(table.n_faults)), timings
-        )
+        return _select_naive(table, order, lower, timings)
 
     def candidate_distances(
         self, table: ResponseTable, test_index: int, partition

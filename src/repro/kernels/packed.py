@@ -1,9 +1,9 @@
 """The packed kernels: interned columns, counted scoring.
 
-Where the naive reference walks every candidate's member list with
-per-fault dict lookups, these kernels score from interned integer
-columns (:mod:`repro.kernels.interning`) and counts with C-level
-:class:`collections.Counter` histograms.
+Where the naive reference walks every candidate's member list one
+signature at a time, these kernels score from a table's interned
+integer columns (:class:`~repro.sim.InternedTable`) and count with
+C-level :class:`collections.Counter` histograms.
 
 **Procedure 1** runs each restart in two phases, and the restart's own
 state picks the moment it switches:
@@ -11,7 +11,7 @@ state picks the moment it switches:
 * *entry-major* while the faults still in classes of size >= 2 number
   more than :data:`HANDOVER_RATIO` times test ``j``'s detected entries
   — early, while classes are few and large.  One pass over those
-  ``(fault, id)`` entries (:attr:`~repro.kernels.interning.InternedTable.entries`)
+  ``(fault, id)`` entries (:attr:`~repro.sim.InternedTable.entries`)
   reads a class label per fault, and a histogram of ``(class, id)``
   pairs gives every candidate's ``dist`` at once — the fault-free
   candidate from the per-class detected counts.  A split relabels the
@@ -96,11 +96,6 @@ class PackedBackend:
     """Interned-column kernels (see the module docstring)."""
 
     name = "packed"
-
-    def prepare(self, table: ResponseTable) -> None:
-        """Materialise the interned columns and their detected entries
-        (idempotent, cached on the table)."""
-        table.interned.entries  # noqa: B018 - touch to materialise the cache
 
     # ------------------------------------------------------------------
     # Procedure 1
@@ -366,20 +361,12 @@ class PackedBackend:
     ) -> Tuple[List[Signature], int, int, int, int]:
         it = table.interned
         k, n = it.n_tests, it.n_faults
-        current_ids = [
-            it.sig_ids[j].get(tuple(baseline), -1)
+        # A baseline outside Z_j has no id: it matches no fault, so it
+        # splits nothing and every member of Z_j is tried against it.
+        current_ids: List[Optional[int]] = [
+            it.sig_ids[j].get(tuple(baseline))
             for j, baseline in enumerate(baselines)
         ]
-        if any(sid < 0 for sid in current_ids):
-            # A baseline outside Z_j can't be expressed as an interned id;
-            # fall back to the reference implementation (it never improves
-            # anything Procedure 2 wouldn't also find from Z_j, but the
-            # public function accepts arbitrary baselines).  Imported here:
-            # samediff imports this package at module level.
-            from ..dictionaries.samediff import _replace_naive
-
-            return _replace_naive(table, baselines, max_passes)
-
         entries = it.entries
         rows = it.rows(current_ids)
         hist = Counter(rows)
@@ -408,7 +395,7 @@ class PackedBackend:
                     pass_dist += d * (size_of(key, 0) + size_of(key | bit, 0) - d)
                 dist[0] = pass_dist
                 best_id = current_ids[j]
-                best_dist = dist[best_id]
+                best_dist = 0 if best_id is None else dist[best_id]
                 for sid, d in enumerate(dist):
                     if sid == current_ids[j]:
                         continue
@@ -428,7 +415,10 @@ class PackedBackend:
             if not improved:
                 break
         distinguished = pairs_within(n) - sum(map(pairs_within, hist.values()))
-        final = [it.sigs[j][current_ids[j]] for j in range(k)]
+        final = [
+            tuple(baseline) if sid is None else it.sigs[j][sid]
+            for j, (sid, baseline) in enumerate(zip(current_ids, baselines))
+        ]
         return final, distinguished, passes, replacements, attempts
 
 

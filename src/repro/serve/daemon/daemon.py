@@ -524,13 +524,7 @@ class DiagnosisDaemon:
         if rejected:
             return rejected
         try:
-            entries = [
-                parse_document(doc, number=number)
-                for number, doc in enumerate(raw, start=1)
-            ]
-            results = await self._run_in_worker(
-                self.server.diagnose_batch, entries
-            )
+            results = await self._run_in_worker(self._serve_batch, raw)
         finally:
             self._admission.release(tenant)
         return 200, {
@@ -539,6 +533,14 @@ class DiagnosisDaemon:
                 result.as_dict(include_schema=False) for result in results
             ],
         }
+
+    def _serve_batch(self, docs: list):
+        """A batch's work unit: validate each document, then serve the
+        batch, all on the worker."""
+        return self.server.diagnose_batch(
+            parse_document(doc, number=number)
+            for number, doc in enumerate(docs, start=1)
+        )
 
     @staticmethod
     def _doc_id(doc: object) -> str:
@@ -582,6 +584,11 @@ class DiagnosisDaemon:
             return 200, self._schema_rejection(
                 f"flip_budget must be a non-negative integer, "
                 f"got {flip_budget!r}"
+            )
+        if artifact is None and self.server.default_artifact is None:
+            return 200, self._schema_rejection(
+                "session open names no artifact and the daemon has no default "
+                "(set 'artifact' on the request)"
             )
         tenant = self._tenant_of(request, doc)
         rejected = self._admit(tenant)

@@ -11,7 +11,7 @@ from .logicsim import (
     simulate_words,
 )
 from .patterns import TestSet
-from .responses import PASS, ResponseTable, Signature
+from .responses import PASS, InternedTable, ResponseTable, Signature, id_typecode
 from .seqfaultsim import (
     random_sequences,
     sequential_detection_word,
@@ -30,6 +30,7 @@ from .xsim import (
 
 __all__ = [
     "FaultSimulator",
+    "InternedTable",
     "PASS",
     "ResponseTable",
     "SequentialSimulator",
@@ -42,6 +43,7 @@ __all__ = [
     "merge_cubes",
     "simulate3",
     "simulate_sequence",
+    "id_typecode",
     "iter_bits",
     "output_vectors",
     "output_words",

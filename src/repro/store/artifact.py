@@ -32,12 +32,12 @@ Both directions work one column at a time, not one (fault, test) cell
 at a time in Python.  :func:`pack_columns` turns a column into one
 binary-digit string and so one integer; :func:`unpack_columns` reads
 each column back from its own byte range, one bit position of every id
-at a time.  The loader then derives the per-fault ``failing`` dicts and
-the dictionary rows from those columns in per-column passes; only the
-dicts take a Python step, one per detected entry.  The pass/fail
-``det_words`` are derived on first use, which a served same/different
-artifact never makes.  The bytes are the ones the earlier per-cell
-``BitWriter`` loop wrote, so the format (version 1) is unchanged.
+at a time.  The decoded columns are the loaded table's stored form
+(:meth:`~repro.sim.ResponseTable.from_columns`), and the dictionary
+rows come off them in per-column passes.  The pass/fail ``det_words``
+are derived on first use, which a served same/different artifact never
+makes.  The bytes are the ones the earlier per-cell ``BitWriter`` loop
+wrote, so the format (version 1) is unchanged.
 
 The *content hash* identifies the build inputs, not the file bytes: it is
 the cache key of :class:`~repro.store.cache.BuildCache` (see
@@ -52,7 +52,6 @@ import struct
 import sys
 from array import array
 from dataclasses import asdict, fields
-from itertools import compress
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -63,10 +62,9 @@ from ..dictionaries.full import FullDictionary
 from ..dictionaries.passfail import PassFailDictionary
 from ..dictionaries.samediff import BuildReport, SameDifferentDictionary
 from ..faults.model import Fault
-from ..kernels.interning import InternedTable, id_typecode
 from ..obs import get_default_registry
 from ..sim.patterns import TestSet
-from ..sim.responses import PASS, ResponseTable, Signature
+from ..sim.responses import PASS, ResponseTable, Signature, id_typecode
 
 MAGIC = b"RFDA"
 FORMAT_VERSION = 1
@@ -158,9 +156,15 @@ def table_content_hash(
     entry paths hash different inputs and never alias each other's cache
     entries.
     """
-    # ``(test, signature)`` pairs encode as the ``[j, [outputs]]`` lists
-    # this hash has always covered.
-    responses = [table.failing_items(i) for i in range(table.n_faults)]
+    # Each fault's ``(test, signature)`` pairs in test order, read off the
+    # detected entries; they encode as the ``[j, [outputs]]`` lists this
+    # hash has always covered.
+    interned = table.interned
+    responses: List[List[Tuple[int, Signature]]] = [[] for _ in table.faults]
+    for j, (faults, ids) in enumerate(interned.entries):
+        sigs_j = interned.sigs[j]
+        for i, sid in zip(faults, ids):
+            responses[i].append((j, sigs_j[sid]))
     doc = {
         "outputs": list(table.outputs),
         "faults": _faults_doc(table.faults),
@@ -314,7 +318,7 @@ def save_artifact(
         table = built.table
         if content_hash is None:
             content_hash = table_content_hash(table, built.kind, built.config)
-        interned = table.interned  # the packed-column view, built once
+        interned = table.interned
         baselines: Optional[List[int]] = None
         if built.kind == "same-different":
             baselines = []
@@ -417,9 +421,9 @@ def load_artifact(
     Validation is strict: a bad magic number, unknown format version,
     failed checksum (truncation, bit rot) or — when ``expected_hash`` is
     given — a content-hash mismatch each raise their dedicated
-    :class:`ArtifactError` subclass.  The restored table carries its
-    interned column view, so diagnosis serves at full speed with no
-    circuit files present.
+    :class:`ArtifactError` subclass.  The restored table is its decoded
+    columns, so diagnosis serves at full speed with no circuit files
+    present.
     """
     try:
         raw = Path(path).read_bytes()
@@ -504,18 +508,13 @@ def _reconstruct(body: bytes) -> BuiltDictionary:
         )
 
     # Column-at-a-time from here on (this is the warm path of the build
-    # cache): decode, range-check, then fill the per-fault dicts.
+    # cache): decode and range-check; the columns are the table.
     cols = unpack_columns(payload, widths, n_faults)
-    failing: List[Dict[int, Signature]] = [{} for _ in range(n_faults)]
     for j, (col, sigs_j) in enumerate(zip(cols, sigs)):
         top = max(col, default=0)
         if top >= len(sigs_j):
             raise ArtifactFormatError(f"signature id {top} out of range for test {j}")
-        for row, sid in zip(compress(failing, col), filter(None, col)):
-            row[j] = sigs_j[sid]
-
-    table = ResponseTable(outputs, faults, tests, failing, good)
-    table.adopt_interned(InternedTable.from_columns(n_faults, cols, sigs))
+    table = ResponseTable.from_columns(outputs, faults, tests, cols, sigs, good)
 
     if kind == "same-different":
         ids = header["baselines"]

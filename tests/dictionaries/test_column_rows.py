@@ -2,11 +2,11 @@
 
 Same/different and pass/fail rows, and the class counts a build report
 records, are derived one column at a time
-(:meth:`~repro.kernels.interning.InternedTable.rows`).  The references
+(:meth:`~repro.sim.InternedTable.rows`).  The references
 here are the per-(fault, test) loops that derivation replaced:
 
 * ``encode_row`` compares every signature with its test's baseline;
-* ``ResponseTable.detection_word`` sets a bit per detecting test;
+* ``encode_row`` under all-PASS baselines gives the pass/fail row;
 * ``_partition_under`` refines a partition one test at a time.
 
 Baselines are drawn from ``Z_j`` or from outside it, where a baseline
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.dictionaries import PassFailDictionary, SameDifferentDictionary
 from repro.dictionaries.samediff import _partition_under, _rows_under
+from repro.sim import PASS
 from tests.util import random_table
 
 
@@ -84,16 +85,9 @@ def test_samediff_rows_equal_the_per_cell_loop(table, data):
 @example(table=wide_table())
 def test_passfail_rows_equal_detection_words(table):
     dictionary = PassFailDictionary(table)
-    expected = [table.detection_word(i) for i in range(table.n_faults)]
+    expected = [
+        encode_row(table, [PASS] * table.n_tests, i) for i in range(table.n_faults)
+    ]
+    assert [table.detection_word(i) for i in range(table.n_faults)] == expected
     assert [dictionary.row(i) for i in range(table.n_faults)] == expected
     assert table.interned.rows([0] * table.n_tests) == expected
-
-
-def test_class_count_without_an_interned_view_matches():
-    # ``_partition_under`` compares signatures when the table has no
-    # interned view yet; the column-derived count must agree with it.
-    table = random_table(40, 8, 3, 11)
-    baselines = [table.candidate_signatures(j)[-1] for j in range(table.n_tests)]
-    assert table._interned is None
-    expected = _partition_under(table, baselines).n_classes
-    assert len(set(_rows_under(table, baselines))) == expected

@@ -129,14 +129,6 @@ class TestProcedure1:
             results.add(distinguished)
         assert len(results) >= 1  # typically >1; at minimum it must not crash
 
-    def test_explicit_partition_reused(self):
-        from repro.dictionaries import FaultPartition
-
-        table = random_table(10, 4, 2, seed=13)
-        partition = FaultPartition(range(table.n_faults))
-        select_baselines(table, partition=partition)
-        assert partition.indistinguished() <= total_pairs(10)
-
 
 class TestRestartDriver:
     def test_more_calls_never_worse(self):

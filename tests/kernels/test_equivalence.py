@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import DictionaryConfig, build
+from repro.dictionaries import select_baselines
 from repro.faults import Fault
 from repro.partition import FaultPartition
 from repro.kernels.packed import HANDOVER_RATIO
@@ -131,7 +132,7 @@ def test_candidate_distances_identical(table, data):
     """dist(z) per candidate matches in value, signature and members."""
     # Compare both on the fresh partition and on a refined mid-run one.
     partition = FaultPartition(range(table.n_faults))
-    refined = NAIVE.procedure1(table, range(table.n_tests), 10).partition
+    _, refined, _ = select_baselines(table)
     for p in (partition, refined):
         for j in range(table.n_tests):
             reference = NAIVE.candidate_distances(table, j, p)
@@ -189,6 +190,26 @@ def test_replace_identical(table, max_passes, start, seed):
     else:
         baselines = _random_baselines(table, random.Random(seed))
     _replace_agrees(table, baselines, max_passes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    table=tables(min_faults=2, min_tests=1),
+    max_passes=st.sampled_from([1, 10]),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_replace_identical_from_baselines_outside_z(table, max_passes, seed):
+    """Procedure 2 from baselines outside ``Z_j`` on random tests: such a
+    baseline splits nothing, every member of ``Z_j`` is an attempt, and
+    one that is not replaced comes back as given."""
+    rng = random.Random(seed)
+    outside = (table.n_outputs,)  # an output index past the last one
+    baselines = [
+        outside if rng.random() < 0.5 else b
+        for b in _random_baselines(table, rng)
+    ]
+    final, *_ = _replace_agrees(table, baselines, max_passes)
+    assert len(final) == table.n_tests
 
 
 class TestReplaceShapes:

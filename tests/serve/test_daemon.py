@@ -58,6 +58,23 @@ def call(handle, method, path, body=None, *, headers=None, conn=None):
     return response.status, document
 
 
+def raw_exchange(handle, payload):
+    """Send raw bytes, half-close, read to EOF; ``(status, doc, head)``."""
+    with socket.create_connection((handle.host, handle.port), timeout=10) as sock:
+        sock.sendall(payload)
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    raw = b"".join(chunks)
+    head, _, body = raw.partition(b"\r\n\r\n")
+    status = int(head.split(b" ", 2)[1])
+    return status, json.loads(body.decode()), head
+
+
 def wait_until(predicate, timeout=5.0, interval=0.005):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -193,27 +210,10 @@ class TestLifecycle:
 # framing failures
 # ----------------------------------------------------------------------
 class TestFraming:
-    def raw_exchange(self, handle, payload):
-        with socket.create_connection(
-            (handle.host, handle.port), timeout=10
-        ) as sock:
-            sock.sendall(payload)
-            sock.shutdown(socket.SHUT_WR)
-            chunks = []
-            while True:
-                chunk = sock.recv(65536)
-                if not chunk:
-                    break
-                chunks.append(chunk)
-        raw = b"".join(chunks)
-        head, _, body = raw.partition(b"\r\n\r\n")
-        status = int(head.split(b" ", 2)[1])
-        return status, json.loads(body.decode()), head
-
     def test_malformed_request_line(self, daemon_factory, artifact_a):
         handle = daemon_factory(default_artifact=str(artifact_a[0]))
         with scoped_registry() as registry:
-            status, doc, head = self.raw_exchange(
+            status, doc, head = raw_exchange(
                 handle, b"NOT-HTTP-AT-ALL\r\n\r\n"
             )
             frames = registry.counters["serve.daemon.bad_frames"].value
@@ -248,7 +248,7 @@ class TestFraming:
             )
         )
         big = b"x" * 4096
-        status, doc, _ = self.raw_exchange(
+        status, doc, _ = raw_exchange(
             handle,
             b"POST /v1/diagnose HTTP/1.1\r\nHost: t\r\n"
             b"Content-Length: %d\r\n\r\n%s" % (len(big), big),
@@ -263,7 +263,7 @@ class TestFraming:
                 max_header_bytes=512,
             )
         )
-        status, doc, _ = self.raw_exchange(
+        status, doc, _ = raw_exchange(
             handle,
             b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"y" * 2048 + b"\r\n\r\n",
         )
@@ -274,7 +274,7 @@ class TestFraming:
         self, daemon_factory, artifact_a
     ):
         handle = daemon_factory(default_artifact=str(artifact_a[0]))
-        status, doc, _ = self.raw_exchange(
+        status, doc, _ = raw_exchange(
             handle,
             b"POST /v1/diagnose HTTP/1.1\r\nHost: t\r\n"
             b"Transfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
@@ -455,6 +455,34 @@ class TestAdmission:
             assert [r["code"] for r in doc["results"]] == ["ok"] * 8
         assert started == []
 
+    def test_batch_documents_are_validated_on_the_worker(
+        self, daemon_factory, artifact_a, monkeypatch
+    ):
+        """The event loop only frames and admits a batch: every document
+        is validated inside the work unit, never on the loop thread."""
+        from repro.serve.daemon import daemon as daemon_module
+
+        path, built = artifact_a
+        handle = daemon_factory(default_artifact=str(path))
+        threads = []
+        parse = daemon_module.parse_document
+
+        def recording_parse(doc, **kwargs):
+            threads.append(threading.current_thread().name)
+            return parse(doc, **kwargs)
+
+        monkeypatch.setattr(daemon_module, "parse_document", recording_parse)
+        fault = str(built.table.faults[0])
+        for body in (
+            {"requests": [{"id": "a", "fault": fault}, {"bogus": 1}]},
+            [{"id": "b", "fault": fault}],
+        ):
+            status, doc = call(handle, "POST", "/v1/diagnose/batch", body)
+            assert status == 200
+        assert len(threads) == 3
+        assert "repro-daemon-loop" not in threads
+        assert all(name.startswith("repro-daemon") for name in threads)
+
 
 # ----------------------------------------------------------------------
 # the diagnosis protocol over the wire
@@ -593,6 +621,22 @@ class TestSessions:
             assert doc["candidates"] == expected
             assert doc["report"]["candidates"] == len(names)
             call(handle, "DELETE", f"/v1/sessions/{session_id}")
+
+    def test_open_naming_no_artifact_is_a_bad_request(self, daemon_factory):
+        """With no default artifact either, a session open has nothing to
+        load: that is the request's fault (``bad_request``, as for
+        ``/v1/diagnose``), not a load failure."""
+        handle = daemon_factory(DaemonConfig(port=0))
+        status, doc, _ = raw_exchange(
+            handle,
+            b"POST /v1/sessions HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: 2\r\nConnection: close\r\n\r\n{}",
+        )
+        assert status == 200
+        assert doc["code"] == "bad_request"
+        assert "names no artifact" in doc["detail"]
+        assert handle.daemon._sessions == {}
 
     def test_advance_on_unknown_session_is_404(
         self, daemon_factory, artifact_a

@@ -6,10 +6,10 @@ guess.  This harness runs one representative workload per area —
 
 * ``build``     — same/different construction (Procedures 1 + 2),
 * ``kernels``   — the packed kernels' candidate-scoring sweep,
-* ``partition`` — the in-place refinement loop: Procedure 1 over a
-                  caller-seeded ``FaultPartition`` (class-major
-                  ``refine_scores`` plus ``split`` deltas) for three
-                  restart orders on an ITC-99-class proxy table,
+* ``partition`` — ``select_baselines`` for three restart orders on an
+                  ITC-99-class proxy table: the packed Procedure 1
+                  plus the replay of its winners into a
+                  ``FaultPartition``,
 * ``atpg``      — a cold diagnostic test generation on p208 (seed 0):
                   detection ATPG, random splitting and the SAT miter
                   phase, from a freshly loaded netlist,
@@ -81,11 +81,8 @@ def prepare_build():
 
 def prepare_kernels():
     from repro.kernels import PackedBackend
-    from repro.kernels.interning import intern_response_table
 
     table = _table(ttype="10det")
-    intern_response_table(table)
-    table.interned
     kernel = PackedBackend()
 
     def run():
@@ -99,7 +96,6 @@ def prepare_partition():
     from repro.circuit.generate import proxy_response_table
     from repro.dictionaries import select_baselines
     from repro.dictionaries.restarts import restart_order
-    from repro.partition import FaultPartition
 
     table = proxy_response_table(
         "b14p", n_faults=PARTITION_FAULTS, n_tests=PARTITION_TESTS
@@ -108,9 +104,7 @@ def prepare_partition():
 
     def run():
         for order in orders:
-            select_baselines(
-                table, order, partition=FaultPartition(range(table.n_faults))
-            )
+            select_baselines(table, order)
 
     return run
 
